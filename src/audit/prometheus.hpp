@@ -83,12 +83,16 @@ inline void write_prometheus(std::ostream& os, const Snapshot& snap,
     os << "# HELP reactive_trace_events_total exact per-class decision "
           "counters (drop-immune)\n"
           "# TYPE reactive_trace_events_total counter\n";
-    static constexpr const char* kMetricNames[trace::kMetricCount] = {
+    static constexpr const char* kMetricNames[] = {
         "acquisitions",   "fast_path_wins", "switches",
         "probes_started", "probes_won",     "probes_lost",
         "episodes",       "handoffs",       "aborts",
-        "regret_samples",
+        "regret_samples", "parks",          "wakes",
+        "wait_mode_switches",
     };
+    // A missing name streams a null pointer, which fails the stream.
+    static_assert(sizeof(kMetricNames) / sizeof(kMetricNames[0]) ==
+                  trace::kMetricCount);
     for (std::size_t c = 1; c < trace::kClassCount; ++c) {
         const auto cls = static_cast<trace::ObjectClass>(c);
         const auto& row = metrics->row(cls);

@@ -277,6 +277,7 @@ class ReactiveBarrier {
         // untouched, including their Params.
         if constexpr (requires { select_.resize_protocols(kProtocols); })
             select_.resize_protocols(kProtocols);
+        wsite_.set_trace_identity(trace::ObjectClass::kBarrier, trace_id_);
     }
 
     // ---- Barrier interface -------------------------------------------
@@ -310,8 +311,9 @@ class ReactiveBarrier {
                               &n);
             proto.release_episode(pn);
             // Parking wake rule: the sense flip (and any mode store)
-            // above is followed, in the same thread, by the broadcast.
-            wake_waiters();
+            // above is followed, in the same thread, by a broadcast on
+            // the group lane, where every episode waiter parks.
+            wsite_.wake();
         });
     }
 
@@ -427,22 +429,6 @@ class ReactiveBarrier {
         }
     }
 
-    /// Broadcast on the barrier-level site (no-op in spin builds).
-    void wake_waiters()
-    {
-        if constexpr (kParking) {
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const std::uint32_t w = wsite_.waiters();
-                    if (w > 0)
-                        trace::emit(trace::EventType::kWake,
-                                    trace::ObjectClass::kBarrier, trace_id_,
-                                    0, 0, P::now(), w);
-                }
-            }
-            wsite_.wake_all();
-        }
-    }
 
     /// The completer (in consensus): fold the episode period into the
     /// wait policy as the hold analogue — an arrival's mean residual

@@ -464,7 +464,7 @@ class CohortQueue {
     void wake_socket(std::uint32_t s)
     {
         if constexpr (kParking)
-            socks_[s]->site.wake_all();
+            socks_[s]->site.wake();
     }
 
     /// Broadcast wake after a chain walk that signalled nodes on
@@ -473,7 +473,7 @@ class CohortQueue {
     {
         if constexpr (kParking) {
             for (std::uint32_t i = 0; i < sockets_; ++i)
-                socks_[i]->site.wake_all();
+                socks_[i]->site.wake();
         }
     }
 

@@ -251,7 +251,7 @@ class ReactiveLock {
             release_tts();
             break;
         case ReleaseMode::kQueue:
-            queue_.release(node);
+            queue_release(node);
             break;
         case ReleaseMode::kTtsToQueue:
             release_tts_to_queue(node);
@@ -260,22 +260,14 @@ class ReactiveLock {
             release_queue_to_tts(node);
             break;
         }
-        // Parking wake rule: every condition-changing store above (TTS
-        // free, queue grant, mode flip, invalidation walk) is followed
-        // here, in the same thread, by a site broadcast. Parked waiters
-        // re-check their own predicate and re-park if it still fails.
-        if constexpr (kParking) {
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const std::uint32_t w = wsite_.waiters();
-                    if (w > 0)
-                        trace::emit(trace::EventType::kWake,
-                                    trace::ObjectClass::kLock, trace_id_, 0,
-                                    0, P::now(), w);
-                }
-            }
-            wsite_.wake_all();
-        }
+        // Parking wake rule: a queue grant or invalidation walk above
+        // already woke the lane of each node it signalled; every
+        // release that frees the TTS word or flips the mode (all but a
+        // plain queue release) also broadcasts the group lane, where
+        // TTS waiters park. Woken waiters re-check their own predicate
+        // and re-park if it still fails.
+        if (mode != ReleaseMode::kQueue)
+            wsite_.wake();
     }
 
     /// Current protocol-index hint (tests and monitoring).
@@ -640,6 +632,7 @@ class ReactiveLock {
         mode_->store(static_cast<std::uint32_t>(Mode::kTts),
                      std::memory_order_relaxed);
         tts_lock_.store(kFree, std::memory_order_relaxed);
+        wsite_.set_trace_identity(trace::ObjectClass::kLock, trace_id_);
     }
 
     /// Figure 3.28 acquire_queue; nullopt when the queue protocol was
@@ -648,18 +641,15 @@ class ReactiveLock {
     {
         const std::uint64_t start = kCalibrating ? P::now() : 0;
         typename Queue::Outcome oc;
-        if constexpr (kParking && requires(AwaitResult& wr) {
+        if constexpr (requires(AwaitResult& wr) {
                           queue_.acquire(node, wsite_, wr);
                       }) {
+            // Lane-aware queues wait (and, dismantling a bogus chain,
+            // wake) on the lock's site.
             AwaitResult wr;
             oc = queue_.acquire(node, wsite_, wr);
             if (oc == Queue::Outcome::kAcquiredWaited)
                 note_waited(wr);
-            else if (oc == Queue::Outcome::kInvalid)
-                // Our enqueue landed on an invalid tail: acquire()
-                // dismantled the bogus chain we headed, storing kInvalid
-                // into nodes whose owners may be parked on this site.
-                wsite_.wake_all();
         } else if constexpr (kParking && requires(AwaitResult& wr) {
                                  queue_.acquire(node, wr);
                              }) {
@@ -690,6 +680,25 @@ class ReactiveLock {
         tts_lock_.store(kFree, std::memory_order_release);
     }
 
+    /// Queue-slot release and retirement on the lock's site for queues
+    /// that wake lanes on it (ReactiveQueue); queues with their own
+    /// sites (CohortQueue) wake internally.
+    void queue_release(Node& node)
+    {
+        if constexpr (requires { queue_.release(node, wsite_); })
+            queue_.release(node, wsite_);
+        else
+            queue_.release(node);
+    }
+
+    void queue_invalidate(Node& node)
+    {
+        if constexpr (requires { queue_.invalidate(&node, wsite_); })
+            queue_.invalidate(&node, wsite_);
+        else
+            queue_.invalidate(&node);
+    }
+
     /// Figure 3.29 release_tts_to_queue: the holder validates the queue
     /// protocol, flips the hint, then releases via the queue. The TTS
     /// lock is left busy (= invalid).
@@ -716,7 +725,7 @@ class ReactiveLock {
                                                   kQueueIndex),
                             dur);
         }
-        queue_.release(node);
+        queue_release(node);
     }
 
     /// Figure 3.29 release_queue_to_tts: flip the hint, dismantle the
@@ -729,7 +738,7 @@ class ReactiveLock {
                           std::memory_order_release);
         ++protocol_changes_;
         select_.on_switch();
-        queue_.invalidate(&node);
+        queue_invalidate(node);
         // Still in consensus until the TTS word is freed below; the
         // measured span covers the queue dismantling (the expensive
         // half of this direction's change).

@@ -19,6 +19,12 @@
  * The usurper-repair path of the MCS release additionally handles the
  * reactive-only race where the usurper retires the protocol while the
  * repair is in flight (it dismantles the victim chain).
+ *
+ * Waits run through a WaitSite (waiting/reactive/wait_site.hpp): the
+ * plain overloads pass an empty spin site (the historical
+ * load-then-pause loop, no wakes); with a parking site every grant or
+ * INVALID store wakes only the lane of the node it lands in, and a
+ * node's lane is its queue position (one past its predecessor's).
  */
 #pragma once
 
@@ -27,6 +33,7 @@
 #include <cstdint>
 
 #include "platform/platform_concept.hpp"
+#include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
 
@@ -42,6 +49,10 @@ class ReactiveQueue {
     struct Node {
         typename P::template Atomic<Node*> next{nullptr};
         typename P::template Atomic<std::uint32_t> status{kWaiting};
+        /// Wake lane of the node's queue position, written by the owner
+        /// before it links in and read by its granter. Host memory,
+        /// relaxed: a stale read only picks another lane.
+        std::atomic<std::uint32_t> lane{kGroupLane};
     };
 
     /// How an acquisition attempt concluded.
@@ -62,51 +73,38 @@ class ReactiveQueue {
     /// Attempts to acquire the queue lock with @p node.
     Outcome acquire(Node& node)
     {
+        SpinSite site;
+        AwaitResult wr;
+        return acquire(node, site, wr);
+    }
+
+    /**
+     * Site-aware acquisition: the status wait runs through @p site's
+     * await on the node's lane, which may spin, spin-then-park, or park
+     * immediately per the holder-published hint. @p wr receives the
+     * AwaitResult when the wait actually ran (untouched on the empty /
+     * invalid fast paths). Every store of kGo / kInvalid into a node is
+     * followed by a wake of that node's lane on the same site (release,
+     * invalidate), so the waker needs no broadcast of its own.
+     */
+    template <typename Site>
+    Outcome acquire(Node& node, Site& site, AwaitResult& wr)
+    {
         node.next.store(nullptr, std::memory_order_relaxed);
         node.status.store(kWaiting, std::memory_order_relaxed);
         Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
+        take_lane(node, pred);
         if (pred == nullptr)
             return Outcome::kAcquiredEmpty;
         if (pred == invalid_tail()) {
             // We appended onto an invalid queue; dismantle the bogus
             // chain we now head so anyone queued behind us retries too.
-            invalidate(&node);
-            return Outcome::kInvalid;
-        }
-        pred->next.store(&node, std::memory_order_release);
-        std::uint32_t s;
-        while ((s = node.status.load(std::memory_order_acquire)) == kWaiting)
-            P::pause();
-        return s == kGo ? Outcome::kAcquiredWaited : Outcome::kInvalid;
-    }
-
-    /**
-     * Site-aware acquisition: identical enqueue to acquire(Node&), but
-     * the status wait runs through @p site's await (a
-     * waiting::WaitSite — duck-typed here so the core layer stays free
-     * of a waiting dependency), which may spin, spin-then-park, or park
-     * immediately per the holder-published hint. @p wr receives the
-     * AwaitResult when the wait actually ran (untouched on the empty /
-     * invalid fast paths). Wakes are the *lock's* obligation: whoever
-     * stores kGo / kInvalid into a node must follow with
-     * site.wake_all() — the queue cannot do it because the release
-     * store may grant a node whose owner races ahead and reuses it.
-     */
-    template <typename Site, typename Result>
-    Outcome acquire(Node& node, Site& site, Result& wr)
-    {
-        node.next.store(nullptr, std::memory_order_relaxed);
-        node.status.store(kWaiting, std::memory_order_relaxed);
-        Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
-        if (pred == nullptr)
-            return Outcome::kAcquiredEmpty;
-        if (pred == invalid_tail()) {
-            invalidate(&node);
+            invalidate(&node, site);
             return Outcome::kInvalid;
         }
         pred->next.store(&node, std::memory_order_release);
         std::uint32_t s = kWaiting;
-        wr = site.await([&] {
+        wr = site.await(node.lane.load(std::memory_order_relaxed), [&] {
             return (s = node.status.load(std::memory_order_acquire)) !=
                    kWaiting;
         });
@@ -123,6 +121,7 @@ class ReactiveQueue {
     {
         node.next.store(nullptr, std::memory_order_relaxed);
         node.status.store(kWaiting, std::memory_order_relaxed);
+        take_lane(node, nullptr);
         Node* expected = nullptr;
         return tail_.compare_exchange_strong(expected, &node,
                                              std::memory_order_acq_rel,
@@ -135,6 +134,15 @@ class ReactiveQueue {
      * usurper retires the protocol during the repair.
      */
     void release(Node& node)
+    {
+        SpinSite site;
+        release(node, site);
+    }
+
+    /// release whose grant (or victim-chain invalidation) wakes the
+    /// granted node's lane on @p site.
+    template <typename Site>
+    void release(Node& node, Site& site)
     {
         Node* succ = node.next.load(std::memory_order_acquire);
         if (succ == nullptr) {
@@ -154,15 +162,15 @@ class ReactiveQueue {
             if (usurper == invalid_tail()) {
                 // The usurper retired the protocol: dismantle the victim
                 // chain; victims retry with the valid protocol.
-                invalidate(succ);
+                invalidate(succ, site);
             } else if (usurper != nullptr) {
                 usurper->next.store(succ, std::memory_order_release);
             } else {
-                succ->status.store(kGo, std::memory_order_release);
+                signal(*succ, kGo, site);
             }
             return;
         }
-        succ->status.store(kGo, std::memory_order_release);
+        signal(*succ, kGo, site);
     }
 
     /**
@@ -178,14 +186,20 @@ class ReactiveQueue {
             node.next.store(nullptr, std::memory_order_relaxed);
             node.status.store(kWaiting, std::memory_order_relaxed);
             Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
+            take_lane(node, pred);
             if (pred == invalid_tail())
                 return;
             assert(pred != nullptr &&
                    "queue must not be valid-free while another protocol "
                    "is valid");
             pred->next.store(&node, std::memory_order_release);
-            while (node.status.load(std::memory_order_acquire) == kWaiting)
-                P::pause();
+            // Wait out the bogus chain (spinning: the caller holds the
+            // other protocol) and retry.
+            SpinSite spin;
+            (void)spin.await([&] {
+                return node.status.load(std::memory_order_acquire) !=
+                       kWaiting;
+            });
         }
     }
 
@@ -197,16 +211,25 @@ class ReactiveQueue {
      */
     void invalidate(Node* head)
     {
+        SpinSite site;
+        invalidate(head, site);
+    }
+
+    /// invalidate whose walk wakes each signalled node's lane on
+    /// @p site.
+    template <typename Site>
+    void invalidate(Node* head, Site& site)
+    {
         Node* tail = tail_.exchange(invalid_tail(), std::memory_order_acq_rel);
         while (head != tail) {
             Node* next;
             while ((next = head->next.load(std::memory_order_acquire)) ==
                    nullptr)
                 P::pause();
-            head->status.store(kInvalid, std::memory_order_release);
+            signal(*head, kInvalid, site);
             head = next;
         }
-        head->status.store(kInvalid, std::memory_order_release);
+        signal(*head, kInvalid, site);
     }
 
     /// Racy check used by tests.
@@ -216,9 +239,42 @@ class ReactiveQueue {
     }
 
   private:
+    /// The wait loop of the plain overloads: no hint, no lanes.
+    using SpinSite = WaitSite<P, SpinWaiting>;
+
     static Node* invalid_tail()
     {
         return reinterpret_cast<Node*>(static_cast<std::uintptr_t>(1));
+    }
+
+    /// Gives @p node the lane one past its predecessor's (the head of
+    /// an empty or retired queue takes the first). Called right after
+    /// the tail exchange, before the node is linked in, so the
+    /// granter's read of it (ordered after the link) sees this store;
+    /// the read of @p pred is unordered with pred's own store and may
+    /// be stale, which only picks another lane.
+    static void take_lane(Node& node, const Node* pred)
+    {
+        const bool queued = pred != nullptr && pred != invalid_tail();
+        node.lane.store(
+            next_queue_lane(queued ? pred->lane.load(std::memory_order_relaxed)
+                                   : kGroupLane),
+            std::memory_order_relaxed);
+    }
+
+    /// Stores @p status into @p n and wakes @p n's lane. The lane is
+    /// read first: once the status lands the owner may leave and reuse
+    /// the node, so afterwards only site memory is touched.
+    template <typename Site>
+    static void signal(Node& n, std::uint32_t status, Site& site)
+    {
+        if constexpr (Site::kParking) {
+            const std::uint32_t lane = n.lane.load(std::memory_order_relaxed);
+            n.status.store(status, std::memory_order_release);
+            site.wake(lane);
+        } else {
+            n.status.store(status, std::memory_order_release);
+        }
     }
 
     typename P::template Atomic<Node*> tail_{nullptr};

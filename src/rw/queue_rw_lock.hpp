@@ -35,6 +35,14 @@
  * and written together (a reader registering behind a waiting reader
  * must atomically verify the predecessor is still waiting), which the
  * original expresses as a CAS on a two-field record.
+ *
+ * Every wait runs through a WaitSite (waiting/reactive/wait_site.hpp):
+ * the plain overloads pass an empty spin site, whose await is the
+ * historical load-then-pause loop and whose wakes compile away; a
+ * parking site makes each grant wake only the lane the granted node
+ * parks on. A node's lane is its queue position — one past a writer
+ * predecessor's, the same as a reader predecessor's, so a reader group
+ * shares one lane and a grant to its head wakes the whole group at once.
  */
 #pragma once
 
@@ -45,6 +53,7 @@
 #include "platform/cache_line.hpp"
 #include "platform/platform_concept.hpp"
 #include "rw/rw_concepts.hpp"
+#include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
 
@@ -70,6 +79,10 @@ class QueueRwLock {
         typename P::template Atomic<Node*> next{nullptr};
         typename P::template Atomic<std::uint32_t> state{0};
         Kind kind = Kind::kReader;  // written by owner before enqueue
+        /// Wake lane of the node's queue position, written by the owner
+        /// before it links in and read by its granter. Host memory,
+        /// relaxed: a stale read only picks another lane.
+        std::atomic<std::uint32_t> lane{kGroupLane};
     };
 
     /// How an acquisition attempt concluded.
@@ -114,22 +127,62 @@ class QueueRwLock {
     /// Attempts a shared acquisition with @p node.
     Outcome start_read(Node& node)
     {
-        return start_read_with(node,
-                               [this](Node& n) { return wait_for_signal(n); });
+        SpinSite site;
+        AwaitResult wr;
+        return start_read(node, site, wr);
     }
 
     /// Shared acquisition whose blocking wait runs through @p site's
-    /// hint-dispatched await (waiting/reactive/wait_site.hpp); @p wr
-    /// receives the wait cost when the wait actually ran. The grant is
-    /// pushed into the node by the predecessor, so the predicate is
-    /// pure — no acquiring action. Wakes are the composing lock's
-    /// obligation (ReactiveRwLock broadcasts after every queue op).
-    template <typename Site, typename Result>
-    Outcome start_read(Node& node, Site& site, Result& wr)
+    /// hint-dispatched await on the node's lane; @p wr receives the
+    /// wait cost when the wait actually ran. The grant is pushed into
+    /// the node by the predecessor, so the predicate is pure — no
+    /// acquiring action. Grants and invalidations this call makes
+    /// (propagation to a parked reader, a dismantled bogus chain) wake
+    /// their lanes on @p site.
+    template <typename Site>
+    Outcome start_read(Node& node, Site& site, AwaitResult& wr)
     {
-        return start_read_with(node, [&](Node& n) {
-            return wait_for_signal(n, site, wr);
-        });
+        node.kind = Kind::kReader;
+        node.next.store(nullptr, std::memory_order_relaxed);
+        node.state.store(0, std::memory_order_relaxed);
+        Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
+        if (pred == invalid_tail()) {
+            // We head a bogus post-retirement chain; dismantle it so
+            // anyone queued behind us retries too.
+            take_lane(node, nullptr);
+            invalidate(&node, site);
+            return Outcome::kInvalid;
+        }
+        Outcome out;
+        if (pred == nullptr) {
+            take_lane(node, nullptr);
+            reader_count_.fetch_add(1, std::memory_order_seq_cst);
+            node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
+            out = Outcome::kAcquiredEmpty;
+        } else if (pred->kind == Kind::kWriter ||
+                   reader_must_block(*pred)) {
+            // Predecessor is a writer, a still-waiting reader we just
+            // registered with (it will propagate the grant), or an
+            // invalidated node (the invalidator's chain walk will reach
+            // us through the link we are about to publish). Block —
+            // on the lane of the reader group ahead, if any (pred's
+            // kind must be read before the link frees it to leave).
+            const bool in_group = pred->kind == Kind::kReader;
+            take_lane(node, pred);
+            pred->next.store(&node, std::memory_order_release);
+            if (!wait_for_signal(node, site, wr, in_group))
+                return Outcome::kInvalid;
+            out = Outcome::kAcquiredWaited;
+        } else {
+            // Predecessor is an *active* reader: join it immediately.
+            reader_count_.fetch_add(1, std::memory_order_seq_cst);
+            take_lane(node, pred);
+            pred->next.store(&node, std::memory_order_release);
+            node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
+            out = Outcome::kAcquiredWaited;
+        }
+        propagate_reader_grant(node, site);
+        return out;
     }
 
     /**
@@ -140,9 +193,20 @@ class QueueRwLock {
      */
     Outcome try_start_read(Node& node)
     {
+        SpinSite site;
+        return try_start_read(node, site);
+    }
+
+    /// try_start_read whose propagated grant wakes its lane on @p site
+    /// (a reader may have registered behind us and parked already).
+    template <typename Site>
+    Outcome try_start_read(Node& node, Site& site)
+    {
         node.kind = Kind::kReader;
         node.next.store(nullptr, std::memory_order_relaxed);
         node.state.store(0, std::memory_order_relaxed);
+        node.lane.store(next_queue_lane(kGroupLane),
+                        std::memory_order_relaxed);
         Node* expected = nullptr;
         if (!tail_.compare_exchange_strong(expected, &node,
                                            std::memory_order_acq_rel,
@@ -150,12 +214,20 @@ class QueueRwLock {
             return Outcome::kInvalid;
         reader_count_.fetch_add(1, std::memory_order_seq_cst);
         node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
-        propagate_reader_grant(node);
+        propagate_reader_grant(node, site);
         return Outcome::kAcquiredEmpty;
     }
 
     /// Releases a shared acquisition.
     void end_read(Node& node)
+    {
+        SpinSite site;
+        end_read(node, site);
+    }
+
+    /// end_read whose writer handoff wakes the writer's lane on @p site.
+    template <typename Site>
+    void end_read(Node& node, Site& site)
     {
         Node* succ = node.next.load(std::memory_order_acquire);
         Node* expected = &node;
@@ -175,25 +247,43 @@ class QueueRwLock {
             Node* w = next_writer_.exchange(nullptr,
                                             std::memory_order_seq_cst);
             if (w != nullptr)
-                w->state.fetch_or(kGoBit, std::memory_order_release);
+                signal(*w, kGoBit, site);
         }
     }
 
     /// Attempts an exclusive acquisition with @p node.
     Outcome start_write(Node& node)
     {
-        return start_write_with(
-            node, [this](Node& n) { return wait_for_signal(n); });
+        SpinSite site;
+        AwaitResult wr;
+        return start_write(node, site, wr);
     }
 
     /// Exclusive acquisition with a site-dispatched wait; see the
     /// start_read overload.
-    template <typename Site, typename Result>
-    Outcome start_write(Node& node, Site& site, Result& wr)
+    template <typename Site>
+    Outcome start_write(Node& node, Site& site, AwaitResult& wr)
     {
-        return start_write_with(node, [&](Node& n) {
-            return wait_for_signal(n, site, wr);
-        });
+        node.kind = Kind::kWriter;
+        node.next.store(nullptr, std::memory_order_relaxed);
+        node.state.store(0, std::memory_order_relaxed);
+        Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
+        if (pred == invalid_tail()) {
+            take_lane(node, nullptr);
+            invalidate(&node, site);
+            return Outcome::kInvalid;
+        }
+        if (pred == nullptr) {
+            take_lane(node, nullptr);
+            if (dekker_claim_empty(node))
+                return Outcome::kAcquiredEmpty;
+        } else {
+            pred->state.fetch_or(kSuccWriterBit, std::memory_order_release);
+            take_lane(node, pred);
+            pred->next.store(&node, std::memory_order_release);
+        }
+        return wait_for_signal(node, site, wr) ? Outcome::kAcquiredWaited
+                                               : Outcome::kInvalid;
     }
 
     /**
@@ -220,6 +310,8 @@ class QueueRwLock {
         node.kind = Kind::kWriter;
         node.next.store(nullptr, std::memory_order_relaxed);
         node.state.store(0, std::memory_order_relaxed);
+        node.lane.store(next_queue_lane(kGroupLane),
+                        std::memory_order_relaxed);
         Node* expected = nullptr;
         if (!tail_.compare_exchange_strong(expected, &node,
                                            std::memory_order_acq_rel,
@@ -233,6 +325,14 @@ class QueueRwLock {
     /// Releases an exclusive acquisition.
     void end_write(Node& node)
     {
+        SpinSite site;
+        end_write(node, site);
+    }
+
+    /// end_write whose grant wakes the successor's lane on @p site.
+    template <typename Site>
+    void end_write(Node& node, Site& site)
+    {
         Node* succ = node.next.load(std::memory_order_acquire);
         Node* expected = &node;
         if (succ != nullptr ||
@@ -244,7 +344,7 @@ class QueueRwLock {
                 P::pause();
             if (succ->kind == Kind::kReader)
                 reader_count_.fetch_add(1, std::memory_order_seq_cst);
-            succ->state.fetch_or(kGoBit, std::memory_order_release);
+            signal(*succ, kGoBit, site);
         }
     }
 
@@ -265,18 +365,21 @@ class QueueRwLock {
             node.state.store(0, std::memory_order_relaxed);
             Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
             if (pred == invalid_tail()) {
+                take_lane(node, nullptr);
                 node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
                 return;
             }
             assert(pred != nullptr &&
                    "queue must not be valid-free while another protocol "
                    "is valid");
+            take_lane(node, pred);
             // We appended onto a bogus chain; its head will dismantle
-            // it and signal us INVALID. Wait it out and retry.
+            // it and signal us INVALID. Wait it out (spinning: the
+            // caller holds the other protocol) and retry.
             pred->next.store(&node, std::memory_order_release);
-            while ((node.state.load(std::memory_order_acquire) &
-                    (kGoBit | kInvalidBit)) == 0)
-                P::pause();
+            SpinSite spin;
+            AwaitResult wr;
+            (void)wait_for_signal(node, spin, wr);
         }
     }
 
@@ -290,16 +393,25 @@ class QueueRwLock {
      */
     void invalidate(Node* head)
     {
+        SpinSite site;
+        invalidate(head, site);
+    }
+
+    /// invalidate whose walk wakes each signalled node's lane on
+    /// @p site.
+    template <typename Site>
+    void invalidate(Node* head, Site& site)
+    {
         Node* tail = tail_.exchange(invalid_tail(), std::memory_order_acq_rel);
         while (head != tail) {
             Node* next;
             while ((next = head->next.load(std::memory_order_acquire)) ==
                    nullptr)
                 P::pause();
-            head->state.fetch_or(kInvalidBit, std::memory_order_release);
+            signal(*head, kInvalidBit, site);
             head = next;
         }
-        head->state.fetch_or(kInvalidBit, std::memory_order_release);
+        signal(*head, kInvalidBit, site);
     }
 
     // ---- racy inspection (tests, monitoring) -------------------------
@@ -321,9 +433,48 @@ class QueueRwLock {
     /// deterministic simulator, so its branches are driven directly.
     friend struct QueueRwLockTestPeer;
 
+    /// The wait loop of the plain overloads: no hint, no lanes.
+    using SpinSite = WaitSite<P, SpinWaiting>;
+
     static Node* invalid_tail()
     {
         return reinterpret_cast<Node*>(static_cast<std::uintptr_t>(1));
+    }
+
+    /// Gives @p node the wake lane of its queue position: a reader
+    /// behind a reader shares its lane, anything else takes the next
+    /// one (the head of an empty or retired queue, pred = nullptr, the
+    /// first). Called after the tail exchange and right before the
+    /// node is linked in, so the granter's read of it (ordered after
+    /// the link) sees this store. The read of @p pred is unordered
+    /// with pred's own store and may be stale; calling as late as
+    /// possible narrows that window, and a stale read only picks
+    /// another lane.
+    static void take_lane(Node& node, const Node* pred)
+    {
+        std::uint32_t lane = next_queue_lane(kGroupLane);
+        if (pred != nullptr) {
+            const std::uint32_t p = pred->lane.load(std::memory_order_relaxed);
+            lane = node.kind == Kind::kReader && pred->kind == Kind::kReader
+                       ? p
+                       : next_queue_lane(p);
+        }
+        node.lane.store(lane, std::memory_order_relaxed);
+    }
+
+    /// Stores the signal @p bit into @p n and wakes @p n's lane. The
+    /// lane is read first: once the bit lands the owner may leave and
+    /// reuse the node, so afterwards only site memory is touched.
+    template <typename Site>
+    static void signal(Node& n, std::uint32_t bit, Site& site)
+    {
+        if constexpr (Site::kParking) {
+            const std::uint32_t lane = n.lane.load(std::memory_order_relaxed);
+            n.state.fetch_or(bit, std::memory_order_release);
+            site.wake(lane);
+        } else {
+            n.state.fetch_or(bit, std::memory_order_release);
+        }
     }
 
     /// A reader with reader predecessor @p pred atomically registers as
@@ -345,7 +496,8 @@ class QueueRwLock {
     /// Propagates this reader's grant to an immediately following
     /// reader (registered via kSuccReaderBit), so consecutive readers
     /// overlap.
-    void propagate_reader_grant(Node& node)
+    template <typename Site>
+    void propagate_reader_grant(Node& node, Site& site)
     {
         if (node.state.load(std::memory_order_acquire) & kSuccReaderBit) {
             Node* succ;
@@ -353,7 +505,7 @@ class QueueRwLock {
                    nullptr)
                 P::pause();
             reader_count_.fetch_add(1, std::memory_order_seq_cst);
-            succ->state.fetch_or(kGoBit, std::memory_order_release);
+            signal(*succ, kGoBit, site);
         }
     }
 
@@ -396,12 +548,14 @@ class QueueRwLock {
      */
     Outcome retract_or_commit_write(Node& node)
     {
+        SpinSite site;
+        AwaitResult wr;
         Node* expected = &node;
         if (!next_writer_.compare_exchange_strong(expected, nullptr,
                                                   std::memory_order_seq_cst,
                                                   std::memory_order_seq_cst))
-            return wait_for_signal(node) ? Outcome::kAcquiredWaited
-                                         : Outcome::kInvalid;
+            return wait_for_signal(node, site, wr) ? Outcome::kAcquiredWaited
+                                                   : Outcome::kInvalid;
         expected = &node;
         if (tail_.compare_exchange_strong(expected, nullptr,
                                           std::memory_order_acq_rel,
@@ -410,93 +564,25 @@ class QueueRwLock {
         // Committed by a successor: redo the empty-tail handshake.
         if (dekker_claim_empty(node))
             return Outcome::kAcquiredWaited;
-        return wait_for_signal(node) ? Outcome::kAcquiredWaited
-                                     : Outcome::kInvalid;
+        return wait_for_signal(node, site, wr) ? Outcome::kAcquiredWaited
+                                               : Outcome::kInvalid;
     }
 
-    /// Shared-acquisition body, parameterized on the blocking wait
-    /// (@p wait(node) -> true on GO, false on INVALID).
-    template <typename Waiter>
-    Outcome start_read_with(Node& node, Waiter&& wait)
-    {
-        node.kind = Kind::kReader;
-        node.next.store(nullptr, std::memory_order_relaxed);
-        node.state.store(0, std::memory_order_relaxed);
-        Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
-        if (pred == invalid_tail()) {
-            // We head a bogus post-retirement chain; dismantle it so
-            // anyone queued behind us retries too.
-            invalidate(&node);
-            return Outcome::kInvalid;
-        }
-        Outcome out;
-        if (pred == nullptr) {
-            reader_count_.fetch_add(1, std::memory_order_seq_cst);
-            node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
-            out = Outcome::kAcquiredEmpty;
-        } else if (pred->kind == Kind::kWriter ||
-                   reader_must_block(*pred)) {
-            // Predecessor is a writer, a still-waiting reader we just
-            // registered with (it will propagate the grant), or an
-            // invalidated node (the invalidator's chain walk will reach
-            // us through the link we are about to publish). Block.
-            pred->next.store(&node, std::memory_order_release);
-            if (!wait(node))
-                return Outcome::kInvalid;
-            out = Outcome::kAcquiredWaited;
-        } else {
-            // Predecessor is an *active* reader: join it immediately.
-            reader_count_.fetch_add(1, std::memory_order_seq_cst);
-            pred->next.store(&node, std::memory_order_release);
-            node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
-            out = Outcome::kAcquiredWaited;
-        }
-        propagate_reader_grant(node);
-        return out;
-    }
-
-    /// Exclusive-acquisition body, parameterized like start_read_with.
-    template <typename Waiter>
-    Outcome start_write_with(Node& node, Waiter&& wait)
-    {
-        node.kind = Kind::kWriter;
-        node.next.store(nullptr, std::memory_order_relaxed);
-        node.state.store(0, std::memory_order_relaxed);
-        Node* pred = tail_.exchange(&node, std::memory_order_acq_rel);
-        if (pred == invalid_tail()) {
-            invalidate(&node);
-            return Outcome::kInvalid;
-        }
-        if (pred == nullptr) {
-            if (dekker_claim_empty(node))
-                return Outcome::kAcquiredEmpty;
-            return wait(node) ? Outcome::kAcquiredWaited : Outcome::kInvalid;
-        }
-        pred->state.fetch_or(kSuccWriterBit, std::memory_order_release);
-        pred->next.store(&node, std::memory_order_release);
-        return wait(node) ? Outcome::kAcquiredWaited : Outcome::kInvalid;
-    }
-
-    /// Spins on the node's own state word; true = GO, false = INVALID.
-    bool wait_for_signal(Node& node)
-    {
-        std::uint32_t s;
-        while (((s = node.state.load(std::memory_order_acquire)) &
-                (kGoBit | kInvalidBit)) == 0)
-            P::pause();
-        return (s & kGoBit) != 0;
-    }
-
-    /// Site-dispatched twin of wait_for_signal (pure predicate: the
-    /// grant/invalid bits are pushed into the node by others).
-    template <typename Site, typename Result>
-    bool wait_for_signal(Node& node, Site& site, Result& wr)
+    /// Waits on the node's own state word through @p site, on the
+    /// node's lane; true = GO, false = INVALID. @p in_group: the node
+    /// shares its lane with a reader group granted just before it.
+    template <typename Site>
+    bool wait_for_signal(Node& node, Site& site, AwaitResult& wr,
+                         bool in_group = false)
     {
         std::uint32_t s = 0;
-        wr = site.await([&] {
+        const std::uint32_t lane = node.lane.load(std::memory_order_relaxed);
+        const auto signalled = [&] {
             return ((s = node.state.load(std::memory_order_acquire)) &
                     (kGoBit | kInvalidBit)) != 0;
-        });
+        };
+        wr = in_group ? site.await_shared(lane, signalled)
+                      : site.await(lane, signalled);
         return (s & kGoBit) != 0;
     }
 

@@ -102,11 +102,14 @@ struct ReactiveRwLockParams {
  * writer-published wait hint (spin / two-phase / park). The same
  * consensus discipline governs it — only the departing *writer* (full
  * exclusivity) feeds the WaitSelectPolicy and republishes the hint;
- * readers merely obey it. Every operation that stores a grant or
- * invalid bit, or frees the simple word, broadcasts on the site
- * afterwards (end_read's writer handoff, end_write's succession,
- * propagate_reader_grant via start_read, invalidation walks, simple
- * releases), so a parked waiter is always re-checked awake.
+ * readers merely obey it. Wakes are directed: simple-word waiters
+ * share the site's group lane, which every release that frees,
+ * retires or revalidates the simple word broadcasts; queue waiters
+ * park on their node's lane, and each queue grant or invalidation
+ * (end_read's writer handoff, end_write's succession, reader-grant
+ * propagation, invalidation walks) wakes only the lane of the node it
+ * lands in — a queue-mode release wakes one writer or one reader
+ * group, never the whole site.
  *
  * @tparam P          Platform model.
  * @tparam Policy     switching policy (Section 3.4): a binary
@@ -167,6 +170,7 @@ class ReactiveRwLock {
         // mode = simple (the low-contention protocol, as in Figure 3.27).
         mode_->store(static_cast<std::uint32_t>(Mode::kSimple),
                      std::memory_order_relaxed);
+        wsite_.set_trace_identity(trace::ObjectClass::kRwLock, trace_id_);
     }
 
     // ---- RwLock interface --------------------------------------------
@@ -203,13 +207,15 @@ class ReactiveRwLock {
 
     void unlock_read(Node& n)
     {
-        if (n.rm == ReleaseMode::kSimple)
-            simple_.unlock_read();
-        else
-            queue_.end_read(n.qnode);
         // A leaving reader may free the simple word for a parked
-        // writer, or (last of its group) grant the queue's next writer.
-        wake_waiters();
+        // writer, or (last of its group) grant the queue's next writer
+        // — which wakes that writer's lane itself.
+        if (n.rm == ReleaseMode::kSimple) {
+            simple_.unlock_read();
+            wsite_.wake();
+        } else {
+            queue_.end_read(n.qnode, wsite_);
+        }
     }
 
     void lock_write(Node& n)
@@ -266,7 +272,7 @@ class ReactiveRwLock {
             simple_.unlock_write();
             break;
         case ReleaseMode::kQueue:
-            queue_.end_write(n.qnode);
+            queue_.end_write(n.qnode, wsite_);
             break;
         case ReleaseMode::kSimpleToQueue:
             release_simple_to_queue(n);
@@ -275,10 +281,13 @@ class ReactiveRwLock {
             release_queue_to_simple(n);
             break;
         }
-        // Parking wake rule: every condition-changing store above
-        // (simple word free, queue grant, mode flip, invalidation walk)
-        // is followed here, in the same thread, by a site broadcast.
-        wake_waiters();
+        // Parking wake rule: queue grants and invalidation walks above
+        // already woke the lanes of the nodes they signalled; every
+        // release that frees, retires or revalidates the simple word
+        // (all but a plain queue release) also broadcasts the group
+        // lane, where simple-word waiters park.
+        if (n.rm != ReleaseMode::kQueue)
+            wsite_.wake();
     }
 
     // ---- std-facade hooks (one-shot tries; see reactive_shared_mutex)
@@ -318,11 +327,11 @@ class ReactiveRwLock {
             n.rm = ReleaseMode::kSimple;
             return true;
         }
+        // The empty-tail win may propagate a grant to a parked
+        // successor reader, waking its lane on the site.
         if (mode() == Mode::kQueue &&
-            queue_.try_start_read(n.qnode) != QueueRwLock<P>::Outcome::kInvalid) {
-            // The empty-tail win may have propagated a grant to a
-            // parked successor reader.
-            wake_waiters();
+            queue_.try_start_read(n.qnode, wsite_) !=
+                QueueRwLock<P>::Outcome::kInvalid) {
             n.rm = ReleaseMode::kQueue;
             return true;
         }
@@ -437,24 +446,16 @@ class ReactiveRwLock {
         }
     }
 
-    /// Queue-protocol read acquisition: plain in spin builds; in
-    /// parking builds the blocked branch dispatches through the site
-    /// (pure predicate — the grant is pushed into the node), and a
-    /// success broadcasts because propagate_reader_grant may have
-    /// granted a parked successor reader.
+    /// Queue-protocol read acquisition through the site (pure
+    /// predicate — the grant is pushed into the node). The grants it
+    /// makes (propagation to a parked successor reader, a dismantled
+    /// bogus chain) wake their lanes inside the queue.
     QOutcome start_read_queue(Node& n)
     {
-        if constexpr (kParking) {
-            AwaitResult wr{};
-            const QOutcome out = queue_.start_read(n.qnode, wsite_, wr);
-            // Success may have propagated a grant; failure dismantled a
-            // bogus chain, storing INVALID into parked waiters.
-            wake_waiters();
-            note_read_waited(wr);
-            return out;
-        } else {
-            return queue_.start_read(n.qnode);
-        }
+        AwaitResult wr{};
+        const QOutcome out = queue_.start_read(n.qnode, wsite_, wr);
+        note_read_waited(wr);
+        return out;
     }
 
     /// Simple-protocol write acquisition: spin with backoff, count
@@ -473,27 +474,20 @@ class ReactiveRwLock {
             // Same contended-line pacing as try_read_simple.
             ExpBackoff<P> backoff(params_.backoff);
             bool acquired = false;
-            bool retired = false;
             const AwaitResult wr = wsite_.await([&] {
                 switch (simple_.try_lock_write()) {
                 case Attempt::kAcquired:
                     acquired = true;
                     return true;
                 case Attempt::kInvalid:
-                    retired = true;
                     return true;
                 case Attempt::kBusy:
                     ++retries;
                     break;
                 }
-                if (mode_.value.load(std::memory_order_relaxed) !=
-                    static_cast<std::uint32_t>(Mode::kSimple)) {
-                    retired = true;
-                    return true;
-                }
-                return false;
+                return mode_.value.load(std::memory_order_relaxed) !=
+                       static_cast<std::uint32_t>(Mode::kSimple);
             }, [&] { backoff.pause(); });
-            (void)retired;
             if (!acquired)
                 return std::nullopt;
             note_write_waited(wr);
@@ -585,22 +579,13 @@ class ReactiveRwLock {
     std::optional<ReleaseMode> try_write_queue(Node& n)
     {
         const std::uint64_t start = kCalibrating ? P::now() : 0;
-        QOutcome outcome;
-        if constexpr (kParking) {
-            AwaitResult wr{};
-            outcome = queue_.start_write(n.qnode, wsite_, wr);
-            if (outcome == QOutcome::kInvalid) {
-                // Enqueuing onto a retired tail dismantles the bogus
-                // chain we headed, storing INVALID into parked waiters.
-                wake_waiters();
-                return std::nullopt;
-            }
-            note_write_waited(wr);
-        } else {
-            outcome = queue_.start_write(n.qnode);
-            if (outcome == QOutcome::kInvalid)
-                return std::nullopt;
-        }
+        AwaitResult wr{};
+        // Enqueuing onto a retired tail dismantles the bogus chain we
+        // headed; the walk wakes the lanes of the waiters it signals.
+        const QOutcome outcome = queue_.start_write(n.qnode, wsite_, wr);
+        if (outcome == QOutcome::kInvalid)
+            return std::nullopt;
+        note_write_waited(wr);
         stamp_hold();
         const bool empty = outcome == QOutcome::kAcquiredEmpty;
         const ProtocolSignal sig{kQueueIndex, empty ? -1 : 0};
@@ -676,7 +661,7 @@ class ReactiveRwLock {
                                                   kQueueIndex),
                             dur);
         }
-        queue_.end_write(n.qnode);
+        queue_.end_write(n.qnode, wsite_);
     }
 
     /// The holding writer flips the hint, dismantles the queue (waking
@@ -689,7 +674,7 @@ class ReactiveRwLock {
                           std::memory_order_release);
         ++protocol_changes_;
         select_.on_switch();
-        queue_.invalidate(&n.qnode);
+        queue_.invalidate(&n.qnode, wsite_);
         // Still in consensus until validate_free() publishes the word.
         [[maybe_unused]] std::uint64_t dur = 0;
         if constexpr (kCalibrating) {
@@ -727,24 +712,6 @@ class ReactiveRwLock {
     {
         if constexpr (kParking)
             wstate_.hold_start = P::now();
-    }
-
-    /// Broadcast on the lock-level site (no-op in spin builds). The
-    /// trace counter mirrors the reactive mutex's kWake emission.
-    void wake_waiters()
-    {
-        if constexpr (kParking) {
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const std::uint32_t w = wsite_.waiters();
-                    if (w > 0)
-                        trace::emit(trace::EventType::kWake,
-                                    trace::ObjectClass::kRwLock, trace_id_,
-                                    0, 0, P::now(), w);
-                }
-            }
-            wsite_.wake_all();
-        }
     }
 
     /// A slow-path *writer* reports how it waited. Called only once the

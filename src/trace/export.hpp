@@ -28,7 +28,8 @@
  *   kPark       a0 = wait cycles, a1 = measured wake latency (0 = not
  *               chained to a stamped release); from = WaitMode waited
  *               under (waiter-local, emitted after the wait ends)
- *   kWake       a0 = advisory parked-waiter count at the broadcast
+ *   kWake       a0 = advisory parked-waiter count of the woken lane,
+ *               a1 = the lane (0 = group lane, 1..15 = queue lanes)
  *   kWaitModeSwitch
  *               from/to = old/new WaitMode; a0 = packed new hint
  *               (wait_select.hpp layout), a1 = (hold EWMA << 32) |
@@ -128,7 +129,7 @@ inline void write_chrome_json(std::ostream& os, const Capture& cap)
                << ", \"wake_latency\": " << e.a1;
             break;
         case EventType::kWake:
-            os << ", \"woken\": " << e.a0;
+            os << ", \"woken\": " << e.a0 << ", \"lane\": " << e.a1;
             break;
         case EventType::kWaitModeSwitch:
             os << ", \"hint\": " << e.a0

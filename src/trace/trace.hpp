@@ -72,7 +72,7 @@ enum class EventType : std::uint8_t {
     kCohortAbort = 9,    ///< protocol retired: waiters woken INVALID
     kRegret = 10,        ///< counterfactual regret sample (src/audit/)
     kPark = 11,          ///< a wait reached the parked phase (waiter-local)
-    kWake = 12,          ///< a release broadcast to a parking site
+    kWake = 12,          ///< a release woke one lane of a parking site
     kWaitModeSwitch = 13,  ///< holder changed the wait-mode hint
 };
 

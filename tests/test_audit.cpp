@@ -36,12 +36,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/workloads.hpp"
 #include "audit/audit.hpp"
 #include "audit/oracle.hpp"
+#include "audit/prometheus.hpp"
 #include "barrier/reactive_barrier.hpp"
 #include "core/cost_model.hpp"
 #include "core/policy.hpp"
@@ -293,6 +296,21 @@ TEST(AuditOverheadTest, BarrierMeterPerturbsNeitherScheduleNorTraffic)
 
 using TtsSim = TtsLock<SimPlatform>;
 using McsSim = McsLock<SimPlatform, McsVariant::kFetchStore>;
+
+TEST(PrometheusExportTest, EveryTraceMetricIsNamed)
+{
+    // The export streams one name per trace metric; a metric added
+    // without a name streamed a null pointer, failing the whole file
+    // from the park/wake counters on.
+    trace::MetricsRegistry metrics;
+    metrics.row(OC::kRwLock).counters.fill(1);
+    std::ostringstream os;
+    audit::write_prometheus(os, audit::Snapshot{}, &metrics);
+    EXPECT_TRUE(os.good());
+    EXPECT_NE(os.str().find("metric=\"wakes\"} 1"), std::string::npos);
+    EXPECT_NE(os.str().find("metric=\"wait_mode_switches\"} 1"),
+              std::string::npos);
+}
 
 TEST(OracleTest, StreamGeneratorsAreSeedDeterministic)
 {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -730,6 +732,258 @@ TEST(WaitAxisSimTest, BarrierParkingStaysInLockstepAndParks)
     EXPECT_EQ(m.stats().wakes, m.stats().blocks);
 }
 
+// ---- directed handoff wakeups: wake lanes -------------------------------
+//
+// A queue grant wakes only the lane its node parks on. These pin the
+// wake counts exactly, with parking forced so every queued waiter is
+// blocked (not spinning) when the grant lands.
+
+/// Binary policy that moves to the queue protocol at the first
+/// slow-path acquisition and never leaves it.
+struct QueueHomePolicy {
+    bool on_tts_acquire(bool) { return true; }
+    bool on_queue_acquire(bool) { return false; }
+    void on_switch() {}
+};
+
+using LaneRwSim = ReactiveRwLock<SimPlatform, QueueHomePolicy, ParkWaiting,
+                                 FixedWaitPolicy>;
+using LaneLockSim = ReactiveNodeLock<SimPlatform, QueueHomePolicy,
+                                     ReactiveQueue<SimPlatform>, ParkWaiting,
+                                     FixedWaitPolicy>;
+
+/// A parking rwlock with the park hint forced. Its first write takes
+/// the slow path (no optimistic fast path), and that release switches
+/// it to the queue protocol for good and publishes the hint.
+std::shared_ptr<LaneRwSim> parking_rwlock()
+{
+    ReactiveRwLockParams params;
+    params.optimistic_simple = false;
+    auto rw = std::make_shared<LaneRwSim>(params);
+    rw->wait_policy() = FixedWaitPolicy(WaitingAlgorithm::always_block());
+    return rw;
+}
+
+/// The holder's switching write, run first on processor 0.
+void switch_to_queue(LaneRwSim& rw)
+{
+    typename LaneRwSim::Node n;
+    rw.lock_write(n);
+    rw.unlock_write(n);
+}
+
+/// Per-waiter hold long enough that every queued waiter has parked
+/// (thread_unload included) before the holder's release.
+constexpr std::uint64_t kLaneHold = 20000;
+
+TEST(WakeLaneSimTest, RwWriterReleaseWakesExactlyTheNextWriter)
+{
+    constexpr std::uint32_t kWriters = 6;
+    sim::Machine m(kWriters + 1);
+    auto rw = parking_rwlock();
+    std::uint64_t handoff_wakes = 0;
+    int inside = 0;
+    int violations = 0;
+    for (std::uint32_t p = 0; p <= kWriters; ++p) {
+        m.spawn(p, [&, p] {
+            typename LaneRwSim::Node n;
+            if (p == 0)
+                switch_to_queue(*rw);
+            else
+                sim::delay(2000 + 100 * p);  // queue behind the holder
+            rw->lock_write(n);
+            if (++inside != 1)
+                ++violations;
+            sim::delay(kLaneHold);
+            --inside;
+            const std::uint64_t before = m.stats().wakes;
+            rw->unlock_write(n);
+            if (p == 0)
+                handoff_wakes = m.stats().wakes - before;
+        });
+    }
+    m.run();
+    EXPECT_EQ(violations, 0);
+    EXPECT_EQ(rw->mode(), LaneRwSim::Mode::kQueue);
+    // Six writers parked on six lanes: the holder's grant wakes one.
+    EXPECT_EQ(handoff_wakes, 1u);
+    // And so does every later handoff: each parked writer is woken
+    // exactly once, by its own grant.
+    EXPECT_EQ(m.stats().wakes, kWriters);
+    EXPECT_EQ(m.stats().wakes, m.stats().blocks);
+}
+
+/// What a writer's grant to a group of parked readers cost.
+struct ReaderGroupRun {
+    std::uint64_t grant_wakes = 0;  ///< wakes inside the writer's release
+    sim::MachineStats stats;
+    int max_readers_in = 0;
+    int violations = 0;
+};
+
+/// A writer holds the queue-mode lock while @p readers queue behind it
+/// as one reader group and park; then it releases.
+ReaderGroupRun run_reader_group(std::uint32_t readers)
+{
+    ReaderGroupRun r;
+    sim::Machine m(readers + 1);
+    auto rw = parking_rwlock();
+    int readers_in = 0;
+    bool writer_in = false;
+    for (std::uint32_t p = 0; p <= readers; ++p) {
+        m.spawn(p, [&, p] {
+            typename LaneRwSim::Node n;
+            if (p == 0) {
+                switch_to_queue(*rw);
+                rw->lock_write(n);
+                writer_in = true;
+                sim::delay(kLaneHold);
+                writer_in = false;
+                const std::uint64_t before = m.stats().wakes;
+                rw->unlock_write(n);
+                r.grant_wakes = m.stats().wakes - before;
+                return;
+            }
+            sim::delay(2000 + 100 * p);  // one reader group behind it
+            rw->lock_read(n);
+            if (writer_in)
+                ++r.violations;
+            r.max_readers_in = std::max(r.max_readers_in, ++readers_in);
+            sim::delay(kLaneHold);
+            --readers_in;
+            rw->unlock_read(n);
+        });
+    }
+    m.run();
+    r.stats = m.stats();
+    return r;
+}
+
+TEST(WakeLaneSimTest, RwWriterGrantWakesAParkedReaderGroupAtOnce)
+{
+    // The group shares one lane: the writer's single notify wakes all
+    // of it, and the in-group grant propagation costs no further wake
+    // — no reader waits for its predecessor to wake it.
+    constexpr std::uint32_t kReaders = 5;
+    const ReaderGroupRun r = run_reader_group(kReaders);
+    EXPECT_EQ(r.violations, 0);
+    EXPECT_EQ(r.grant_wakes, kReaders);
+    EXPECT_EQ(r.stats.wakes, kReaders);
+    EXPECT_EQ(r.stats.blocks, kReaders);
+    EXPECT_EQ(r.max_readers_in, static_cast<int>(kReaders));
+}
+
+TEST(WakeLaneSimTest, LargeReaderGroupStillWakesEachReaderOnce)
+{
+    // Past a handful of readers the writer's serial reenables (one per
+    // waiter) are overtaken: the first woken readers' propagation
+    // notifies drain the rest of the lane. Every reader is still woken
+    // exactly once and none re-parks.
+    constexpr std::uint32_t kReaders = 14;
+    const ReaderGroupRun r = run_reader_group(kReaders);
+    EXPECT_EQ(r.violations, 0);
+    EXPECT_EQ(r.stats.wakes, kReaders);
+    EXPECT_EQ(r.stats.blocks, kReaders);
+    EXPECT_EQ(r.max_readers_in, static_cast<int>(kReaders));
+}
+
+TEST(WakeLaneSimTest, NodeLockQueueReleaseWakesExactlyTheNextWaiter)
+{
+    constexpr std::uint32_t kWaiters = 6;
+    sim::Machine m(kWaiters + 1);
+    ReactiveLockParams params;
+    params.optimistic_tts = false;
+    auto lock = std::make_shared<LaneLockSim>(params);
+    lock->inner().wait_policy() =
+        FixedWaitPolicy(WaitingAlgorithm::always_block());
+    std::uint64_t handoff_wakes = 0;
+    int inside = 0;
+    int violations = 0;
+    for (std::uint32_t p = 0; p <= kWaiters; ++p) {
+        m.spawn(p, [&, p] {
+            typename LaneLockSim::Node n;
+            if (p == 0) {
+                lock->lock(n);  // TTS slow path: switches to the queue
+                lock->unlock(n);
+            } else {
+                sim::delay(2000 + 100 * p);
+            }
+            lock->lock(n);
+            if (++inside != 1)
+                ++violations;
+            sim::delay(kLaneHold);
+            --inside;
+            const std::uint64_t before = m.stats().wakes;
+            lock->unlock(n);
+            if (p == 0)
+                handoff_wakes = m.stats().wakes - before;
+        });
+    }
+    m.run();
+    EXPECT_EQ(violations, 0);
+    EXPECT_EQ(lock->inner().mode(), LaneLockSim::Inner::Mode::kQueue);
+    EXPECT_EQ(handoff_wakes, 1u);
+    EXPECT_EQ(m.stats().wakes, kWaiters);
+    EXPECT_EQ(m.stats().wakes, m.stats().blocks);
+}
+
+/// One parking rwlock run on @p seed: mixed reads and writes with a
+/// protocol switch every few writes, so lanes are assigned across
+/// grants, propagation and invalidation walks. @p shift_heap allocates
+/// a dummy buffer first, moving every later heap address.
+sim::MachineStats lane_determinism_run(std::uint64_t seed, bool shift_heap,
+                                       std::uint64_t& elapsed)
+{
+    using RW = ReactiveRwLock<SimPlatform, AlwaysSwitchPolicy, ParkWaiting,
+                              FixedWaitPolicy>;
+    std::unique_ptr<char[]> pad;
+    if (shift_heap)
+        pad = std::make_unique<char[]>(4096 + 24);
+    sim::Machine m(8, sim::CostModel::alewife(), seed);
+    auto rw = std::make_shared<RW>();
+    rw->wait_policy() = FixedWaitPolicy(WaitingAlgorithm::always_block());
+    // Heap nodes, so the pad moves them (fiber stacks are page-aligned).
+    std::vector<std::unique_ptr<typename RW::Node>> nodes;
+    for (std::uint32_t p = 0; p < 8; ++p)
+        nodes.push_back(std::make_unique<typename RW::Node>());
+    for (std::uint32_t p = 0; p < 8; ++p) {
+        m.spawn(p, [rw, p, &n = *nodes[p]] {
+            for (int i = 0; i < 60; ++i) {
+                if ((i + static_cast<int>(p)) % 4 == 0) {
+                    rw->lock_write(n);
+                    sim::delay(400);
+                    rw->unlock_write(n);
+                } else {
+                    rw->lock_read(n);
+                    sim::delay(100);
+                    rw->unlock_read(n);
+                }
+                sim::delay(sim::random_below(300));
+            }
+        });
+    }
+    m.run();
+    elapsed = m.elapsed();
+    return m.stats();
+}
+
+TEST(WakeLaneSimTest, LanesDoNotDependOnHeapAddresses)
+{
+    std::uint64_t e1 = 0;
+    std::uint64_t e2 = 0;
+    const sim::MachineStats a = lane_determinism_run(5, false, e1);
+    const sim::MachineStats b = lane_determinism_run(5, true, e2);
+    EXPECT_EQ(e1, e2);
+    EXPECT_EQ(a.mem_ops, b.mem_ops);
+    EXPECT_EQ(a.remote_misses, b.remote_misses);
+    EXPECT_EQ(a.invalidations, b.invalidations);
+    EXPECT_EQ(a.blocks, b.blocks);
+    EXPECT_EQ(a.wakes, b.wakes);
+    EXPECT_EQ(a.context_switches, b.context_switches);
+    EXPECT_EQ(0, std::memcmp(&a, &b, sizeof a));
+    EXPECT_GT(a.blocks, 0u);  // the run exercised parking at all
+}
+
 // ---- native oversubscribed park/wake storms ------------------------------
 //
 // Run with TSan in CI (repeated): `factor` threads per CPU all hammer
@@ -844,6 +1098,64 @@ TEST(ParkWakeStormTest, OversubscribedRwLockStormUnderModeSwitches)
         th.join();
     EXPECT_EQ(violations.load(), 0);
     EXPECT_EQ(ops.load(), static_cast<long>(threads) * kIters);
+}
+
+/// Binary policy that switches protocol on every third slow-path
+/// decision, in either direction. In-consensus only, like any policy.
+class EveryThirdSwitchPolicy {
+  public:
+    bool on_tts_acquire(bool) { return ++n_ % 3 == 0; }
+    bool on_queue_acquire(bool) { return ++n_ % 3 == 0; }
+    void on_switch() {}
+
+  private:
+    std::uint32_t n_ = 0;
+};
+
+TEST(ParkWakeStormTest, RwLockProtocolSwitchStormOnLanes)
+{
+    // Every waiter parks (forced hint) on its queue lane or the group
+    // lane, and the protocol flips every few writes, so invalidation
+    // walks signal parked queue waiters mid-storm and must wake each
+    // one's lane. A lost lane wake hangs the join.
+    using RW = ReactiveRwLock<NativePlatform, EveryThirdSwitchPolicy,
+                              ParkWaiting, FixedWaitPolicy>;
+    ReactiveRwLockParams params;
+    params.optimistic_simple = false;  // every write consults the policy
+    RW rw(params);
+    rw.wait_policy() = FixedWaitPolicy(WaitingAlgorithm::always_block());
+    const std::uint32_t threads = storm_threads(4);
+    constexpr int kIters = 250;
+    std::atomic<int> writers_in{0};
+    std::atomic<int> violations{0};
+    std::atomic<long> ops{0};
+    std::vector<std::thread> pool;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            for (int i = 0; i < kIters; ++i) {
+                typename RW::Node n;
+                if ((i + static_cast<int>(t)) % 3 == 0) {
+                    rw.lock_write(n);
+                    if (writers_in.fetch_add(1,
+                                             std::memory_order_relaxed) != 0)
+                        violations.fetch_add(1, std::memory_order_relaxed);
+                    writers_in.fetch_sub(1, std::memory_order_relaxed);
+                    rw.unlock_write(n);
+                } else {
+                    rw.lock_read(n);
+                    if (writers_in.load(std::memory_order_relaxed) != 0)
+                        violations.fetch_add(1, std::memory_order_relaxed);
+                    rw.unlock_read(n);
+                }
+                ops.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    for (auto& th : pool)
+        th.join();  // a lost lane wake hangs the join (the canary)
+    EXPECT_EQ(violations.load(), 0);
+    EXPECT_EQ(ops.load(), static_cast<long>(threads) * kIters);
+    EXPECT_GT(rw.protocol_changes(), 10u);
 }
 
 TEST(ParkWakeStormTest, OversubscribedBarrierStormUnderModeSwitches)

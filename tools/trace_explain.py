@@ -122,9 +122,12 @@ def explain(events, quiet):
     cls_of = {}
     switches = 0
     # object id -> park/wake rollup (parks are per-wait samples, wakes
-    # per-broadcast; too many for narrative lines, so they aggregate).
+    # per lane notify; too many for narrative lines, so they aggregate).
+    # Wakes are kept per lane: lane 0 is the group lane (shared-word
+    # waiters), lanes 1.. are queue positions.
     waits = defaultdict(lambda: {"parks": 0, "wait_cycles": 0,
                                  "wakes": 0, "woken": 0,
+                                 "lanes": defaultdict(lambda: [0, 0]),
                                  "wake_latency_sum": 0,
                                  "wake_latency_n": 0})
     for i, e in enumerate(events):
@@ -186,8 +189,12 @@ def explain(events, quiet):
                 w["wake_latency_n"] += 1
         elif name == "wake":
             w = waits[obj]
+            woken = a.get("woken", 0)
             w["wakes"] += 1
-            w["woken"] += a.get("woken", 0)
+            w["woken"] += woken
+            lane = w["lanes"][a.get("lane", 0)]
+            lane[0] += 1
+            lane[1] += woken
         # acq_sample / fast_acquire / cohort_grant / regret are
         # high-volume samples; they feed the stats (and the --regret
         # view), not the narrative.
@@ -195,13 +202,18 @@ def explain(events, quiet):
         if w["parks"] == 0 and w["wakes"] == 0:
             continue
         line = (f"  waiting: {w['parks']} waited acquisition(s) "
-                f"({w['wait_cycles']} cycles), {w['wakes']} broadcast(s) "
+                f"({w['wait_cycles']} cycles), {w['wakes']} wake(s) "
                 f"waking {w['woken']}")
         if w["wake_latency_n"] > 0:
             line += (f", mean wake latency "
                      f"{w['wake_latency_sum'] // w['wake_latency_n']} "
                      f"cycles ({w['wake_latency_n']} measured)")
         timeline[obj].append(line)
+        if w["lanes"]:
+            timeline[obj].append(
+                "  wakes per lane (lane: wakes/woken): " + " ".join(
+                    f"{lane}:{n}/{woken}"
+                    for lane, (n, woken) in sorted(w["lanes"].items())))
     if not quiet:
         for obj in sorted(timeline):
             print(f"{cls_of.get(obj, 'object')} #{obj}:")
