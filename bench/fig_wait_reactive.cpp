@@ -84,7 +84,7 @@ using ReactiveRow = ReactiveNodeLock<sim::SimPlatform, AlwaysSwitchPolicy,
                                      CalibratedWaitPolicy>;
 
 /// FixedRow pinned to one waiting algorithm. The hint reaches the wait
-/// site at the first release (update_wait_policy publishes it), so only
+/// site at the first release (publish_wait publishes it), so only
 /// the very first contended waits run under the default spin hint.
 std::shared_ptr<FixedRow> make_fixed(const WaitingAlgorithm& alg)
 {

@@ -33,6 +33,7 @@
 #include "barrier/barrier_concepts.hpp"
 #include "platform/cache_line.hpp"
 #include "platform/platform_concept.hpp"
+#include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
 
@@ -123,11 +124,13 @@ class CentralBarrier {
         return a;
     }
 
-    /// Spins until the node's episode is released.
+    /// Spins until the node's episode is released (the site wait below
+    /// on an empty spin site: load, then pause).
     void wait_episode(Node& n)
     {
-        while (sense_->load(std::memory_order_acquire) != n.episode_sense)
-            P::pause();
+        WaitSite<P, SpinWaiting> site;
+        AwaitResult wr;
+        wait_episode(n, site, wr);
     }
 
     /// Site-dispatched twin of wait_episode (the reactive barrier's

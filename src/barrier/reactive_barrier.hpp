@@ -49,13 +49,16 @@
  *    means the participants arrived together and serialization is the
  *    bottleneck (the scalable rungs' regime); a spread of many
  *    thousands of cycles means a straggler dominated and any tree or
- *    round structure is pure overhead (the central regime).
+ *    round structure is pure overhead (the central regime). The
+ *    completer's observe / switch / publish steps are one
+ *    ConsensusPoint (core/consensus_point.hpp; DESIGN.md "One consensus
+ *    point").
  *
  * Policy interface: the completer classifies the episode into a
  * `ProtocolSignal` — drift +1 (bunched arrivals, or a contended
  * counter RMW on the bottom rung: the current protocol is
  * under-provisioned), drift -1 (straggler-dominated: over-provisioned)
- * — and asks the policy for `next_protocol`. Binary `SwitchPolicy`
+ * — and asks the policy for the next protocol. Binary `SwitchPolicy`
  * policies embed through `SelectAdapter` with their historical
  * observation mapping (a central-mode episode feeds
  * `on_tts_acquire(bunched)`, a top-rung episode feeds
@@ -80,19 +83,16 @@
 #include <atomic>
 #include <cstdint>
 #include <tuple>
-#include <type_traits>
 
-#include "audit/audit.hpp"
 #include "barrier/barrier_concepts.hpp"
 #include "barrier/central_barrier.hpp"
 #include "barrier/combining_tree_barrier.hpp"
-#include "core/cost_model.hpp"
+#include "core/consensus_point.hpp"
 #include "core/policy.hpp"
 #include "core/protocol_set.hpp"
 #include "platform/cache_line.hpp"
 #include "platform/platform_concept.hpp"
 #include "platform/thread_slots.hpp"
-#include "trace/instrument.hpp"
 #include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
@@ -174,15 +174,16 @@ using CentralTreeBarrierSet =
  * Reactive barrier selecting among the slots of a barrier ProtocolSet
  * between episodes.
  *
- * The waiting axis (waiting/reactive/): with Waiting = ParkWaiting,
- * slots exposing a site-dispatched wait_episode (the central barrier)
- * wait through one barrier-level WaitSite on the completer-published
- * hint; tree- and round-shaped slots keep their local spins (their
- * per-level waits are short by construction, and parking mid-combine
- * would serialize the fan-in). The completer is the consensus point:
- * it alone feeds the WaitSelectPolicy (episode period as the hold
- * analogue, plus its own stashed wake latency from the last episode it
- * parked in) and broadcasts on the site after the release.
+ * The waiting axis (waiting/reactive/): slots exposing a
+ * site-dispatched wait_episode (the central barrier) wait through one
+ * barrier-level WaitSite — the empty spin site under SpinWaiting, the
+ * completer-published hint under ParkWaiting; tree- and round-shaped
+ * slots keep their local spins (their per-level waits are short by
+ * construction, and parking mid-combine would serialize the fan-in).
+ * The completer is the consensus point: it alone feeds the
+ * WaitSelectPolicy (episode period as the hold analogue, plus its own
+ * carried wake latency from the last episode it parked in) and
+ * broadcasts on the site after the release.
  *
  * @tparam P          Platform model.
  * @tparam Policy     switching policy: any N-ary `SelectPolicy`, or —
@@ -192,8 +193,7 @@ using CentralTreeBarrierSet =
  * @tparam Set        `ProtocolSet` of BarrierProtocolSlot members,
  *                    ordered by scalability (index 0 = low-contention
  *                    protocol).
- * @tparam Waiting    SpinWaiting (default; byte-identical to the
- *                    pre-subsystem barrier) or ParkWaiting.
+ * @tparam Waiting    SpinWaiting (default) or ParkWaiting.
  * @tparam WaitPolicy WaitSelectPolicy choosing the waiting mode
  *                    (ParkWaiting instantiations only).
  */
@@ -202,13 +202,14 @@ template <Platform P, typename Policy = AlwaysSwitchPolicy,
           typename Waiting = SpinWaiting,
           typename WaitPolicy = CalibratedWaitPolicy>
 class ReactiveBarrier {
+    using Consensus = ConsensusPoint<P, Policy, Waiting, WaitPolicy>;
+
   public:
     /// The select-interface view of the policy parameter.
-    using Select = SelectFor<Policy>;
+    using Select = typename Consensus::Select;
     /// Number of protocols in the set.
     static constexpr std::uint32_t kProtocols = Set::kCount;
 
-    static_assert(SelectPolicy<Select>);
     static_assert(SelectPolicy<Policy> || kProtocols == 2,
                   "binary SwitchPolicy policies embed as the two-protocol "
                   "specialization; N-protocol sets need a SelectPolicy");
@@ -225,25 +226,18 @@ class ReactiveBarrier {
     };
 
     /// The barrier-level waiting site for this Waiting tag.
-    using Site = WaitSite<P, Waiting>;
+    using Site = typename Consensus::Site;
     /// Whether episode waits may park (ParkWaiting instantiations).
-    static constexpr bool kParking = Site::kParking;
-
-    static_assert(WaitSelectPolicy<WaitPolicy>);
-
-    /// Empty stand-in keeping spin-instantiation Nodes identical to the
-    /// pre-subsystem layout.
-    struct NoWaitStash {};
+    static constexpr bool kParking = Consensus::kParking;
 
     /// Per-participant state (one sub-node per slot); reuse the same
     /// Node across episodes.
     struct Node {
         typename Set::Nodes nodes;
-        /// Last parked wait's cost, stashed until this participant is
-        /// next in consensus (it feeds the wake-latency estimator only
-        /// as a completer). Empty in spin instantiations.
-        [[no_unique_address]]
-        std::conditional_t<kParking, AwaitResult, NoWaitStash> last_wait{};
+        /// Wake latency of the last parked wait, carried until this
+        /// participant is next in consensus (it feeds the wake-latency
+        /// estimator only as a completer). Empty in spin instantiations.
+        [[no_unique_address]] typename Consensus::WakeCarry last_wake{};
     };
 
     explicit ReactiveBarrier(std::uint32_t participants)
@@ -264,20 +258,12 @@ class ReactiveBarrier {
           rmw_floor_(params.bunched_cycles_per_arrival /
                      (params.bunched_rmw_multiple ? params.bunched_rmw_multiple
                                                   : 1)),
-          select_(std::move(policy))
+          cp_(trace::ObjectClass::kBarrier, kProtocols, std::move(policy),
+              participants)
     {
         // Initial protocol: index 0 (the low-contention choice, as the
         // reactive lock starts in TTS mode, Figure 3.27).
         mode_->store(0, std::memory_order_relaxed);
-        // Runtime-sized ladder policies are sized to this set here (in
-        // every build mode — a 2-rung policy over a 3-protocol set
-        // would silently never reach the top rung, and an oversized
-        // one would burn switching evidence on rungs that do not
-        // exist). Explicitly configured sizes equal to kProtocols are
-        // untouched, including their Params.
-        if constexpr (requires { select_.resize_protocols(kProtocols); })
-            select_.resize_protocols(kProtocols);
-        wsite_.set_trace_identity(trace::ObjectClass::kBarrier, trace_id_);
     }
 
     // ---- Barrier interface -------------------------------------------
@@ -289,31 +275,29 @@ class ReactiveBarrier {
             const BarrierEpisode ep = proto.arrive_only(pn);
             if (!ep.last) {
                 // Slots exposing a site-dispatched wait (the central
-                // barrier) park under the hint; tree/round slots keep
+                // barrier) wait through the site; tree/round slots keep
                 // their local spins.
-                if constexpr (kParking) {
-                    if constexpr (requires(AwaitResult& w) {
-                                      proto.wait_episode(pn, wsite_, w);
-                                  }) {
-                        AwaitResult wr{};
-                        proto.wait_episode(pn, wsite_, wr);
-                        note_waited(n, wr);
-                        return;
-                    }
+                if constexpr (requires(AwaitResult& w) {
+                                  proto.wait_episode(pn, cp_.site(), w);
+                              }) {
+                    AwaitResult wr{};
+                    proto.wait_episode(pn, cp_.site(), wr);
+                    cp_.parked(wr, n.last_wake);
+                } else {
+                    proto.wait_episode(pn);
                 }
-                proto.wait_episode(pn);
                 return;
             }
             // In consensus: select the next waiting mode first, so the
             // waiters this release is about to free dispatch under it.
-            update_wait_policy(n);
+            publish_wait(n);
             episode_consensus(static_cast<std::uint32_t>(index.value), ep,
                               &n);
             proto.release_episode(pn);
             // Parking wake rule: the sense flip (and any mode store)
             // above is followed, in the same thread, by a broadcast on
             // the group lane, where every episode waiter parks.
-            wsite_.wake();
+            cp_.site().wake();
         });
     }
 
@@ -349,18 +333,12 @@ class ReactiveBarrier {
     /// *participant* between its own arrivals: no episode can complete
     /// (and no completer can touch this) until that participant
     /// arrives again. Racy inspection for non-participants.
-    std::uint64_t protocol_changes() const { return protocol_changes_; }
+    std::uint64_t protocol_changes() const { return cp_.protocol_changes(); }
 
     /// Policy state access (in-consensus callers only). Returns the
     /// policy as passed in (binary policies are unwrapped from their
     /// adapter).
-    Policy& policy()
-    {
-        if constexpr (SelectPolicy<Policy>)
-            return select_;
-        else
-            return select_.underlying();
-    }
+    Policy& policy() { return cp_.policy(); }
 
     /// Direct slot access (tests, experiments).
     template <std::size_t I>
@@ -377,108 +355,31 @@ class ReactiveBarrier {
     WaitPolicy& wait_policy()
         requires kParking
     {
-        return wstate_.policy;
+        return cp_.wait_policy();
     }
 
     /// The packed wait hint currently published to waiters (tests).
-    std::uint32_t wait_hint() const { return wsite_.hint(); }
+    std::uint32_t wait_hint() const { return cp_.site().hint(); }
 
-  private:
-    /// Calibrating policies additionally receive each episode's spread
-    /// as a cost sample (see episode_consensus).
-    static constexpr bool kCalibrating = CalibratingSelectPolicy<Select>;
-
-    /// Socket-aware policies also receive the socket-of-previous-
-    /// completer bit: an episode whose consensus moved across sockets
-    /// carried its hot lines with it, the barrier analogue of the
-    /// lock's handoff-locality split (SocketHandoffTracker;
-    /// completer-only plain state).
-    static constexpr bool kSocketAware = SocketAwareSelect<Select>;
-
-    bool note_completer_socket() { return completer_socket_.note_handoff(); }
-
-    // ---- waiting-mode selection (ParkWaiting instantiations only) ----
-
-    /// Park-axis completer state; empty stand-in as for Node.
-    struct ParkWaitState {
-        WaitPolicy policy{};
-        std::uint64_t last_end = 0;  ///< previous episode's consensus stamp
-    };
-    struct NoWaitState {};
-    using WaitState = std::conditional_t<kParking, ParkWaitState, NoWaitState>;
-
-    /// A parked participant stashes its wait cost (fed to the policy
-    /// only once it is next in consensus) and traces the park. Not a
-    /// consensus point: no policy state is touched here.
-    void note_waited(Node& n, const AwaitResult& wr)
+    /// Wait-mode transitions the completers published (tests).
+    std::uint64_t wait_mode_changes() const
+        requires kParking
     {
-        if constexpr (kParking) {
-            if (!wr.blocked)
-                return;
-            n.last_wait = wr;
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const auto m = static_cast<std::uint8_t>(
-                        unpack_wait_hint(wsite_.hint()).mode);
-                    trace::emit(trace::EventType::kPark,
-                                trace::ObjectClass::kBarrier, trace_id_, m,
-                                m, P::now(), wr.wait_cycles,
-                                wr.wake_latency);
-                }
-            }
-        }
+        return cp_.wait_mode_changes();
     }
 
-
-    /// The completer (in consensus): fold the episode period into the
-    /// wait policy as the hold analogue — an arrival's mean residual
-    /// wait is about half a period, so the depth multiplier is
-    /// deliberately withheld (queue_depth = 0 makes the policy's
-    /// expected wait period/2) — feed its own stashed wake latency, and
-    /// publish the new hint before the release frees the waiters.
-    void update_wait_policy(Node& n)
+  private:
+    /// The completer (in consensus) publishes the next wait hint. The
+    /// episode period — the span since the previous completer's stamp —
+    /// is the hold analogue; an arrival's mean residual wait is about
+    /// half a period, so the depth multiplier is deliberately withheld
+    /// (queue_depth = 0 makes the policy's expected wait period/2). Its
+    /// own carried wake latency is fed first.
+    void publish_wait(Node& n)
     {
-        if constexpr (kParking) {
-            WaitSignal ws;
-            const std::uint64_t now = P::now();
-            ws.hold_cycles = wstate_.last_end != 0 && now > wstate_.last_end
-                                 ? now - wstate_.last_end
-                                 : 0;
-            ws.queue_depth = 0;
-            ws.now_cycles = now;
-            wstate_.last_end = now;
-            if (n.last_wait.wake_latency != 0) {
-                wstate_.policy.note_wake_latency(n.last_wait.wake_latency);
-                n.last_wait.wake_latency = 0;
-            }
-            const auto old_mode = static_cast<std::uint8_t>(
-                unpack_wait_hint(wstate_.policy.hint()).mode);
-            const std::uint32_t h = wstate_.policy.on_release(ws);
-            const auto new_mode =
-                static_cast<std::uint8_t>(unpack_wait_hint(h).mode);
-            wsite_.set_hint(h);
-            if constexpr (WaitAwareSelect<Select>)
-                select_.on_wait_signal(ws);
-            if constexpr (trace::kCompiled) {
-                if (new_mode != old_mode && trace::enabled()) [[unlikely]] {
-                    std::uint64_t ests = 0;
-                    std::uint64_t ew = 0;
-                    if constexpr (requires {
-                                      wstate_.policy.hold_estimate();
-                                      wstate_.policy.block_estimate();
-                                      wstate_.policy.expected_wait();
-                                  }) {
-                        ests = (wstate_.policy.hold_estimate() << 32) |
-                               (wstate_.policy.block_estimate() &
-                                0xffffffffull);
-                        ew = wstate_.policy.expected_wait();
-                    }
-                    trace::emit(trace::EventType::kWaitModeSwitch,
-                                trace::ObjectClass::kBarrier, trace_id_,
-                                old_mode, new_mode, P::now(), h, ests, ew);
-                }
-            }
-        }
+        const WaitSignal ws = cp_.hold_signal(/*queue_depth=*/0);
+        cp_.stamp_hold();
+        cp_.publish_wait(ws, n.last_wake);
     }
 
     /**
@@ -592,38 +493,12 @@ class ReactiveBarrier {
             sample = spread;
         }
         const ProtocolSignal sig{m, drift};
-        const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        if constexpr (trace::kCompiled) {
-            // The episode record reuses the consensus stamp and the
-            // classified cost sample — no extra measurement.
-            if (trace::enabled()) [[unlikely]]
-                trace::emit(trace::EventType::kEpisode,
-                            trace::ObjectClass::kBarrier, trace_id_,
-                            static_cast<std::uint8_t>(m),
-                            static_cast<std::uint8_t>(m), end, sample,
-                            participants_);
-        }
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            if (params_.free_monitoring && sample == 0) {
-                if constexpr (kSocketAware)
-                    (void)note_completer_socket();
-                next = select_.next_protocol(sig);  // no period yet
-            } else if constexpr (kSocketAware) {
-                next = select_.next_protocol(sig, sample,
-                                             note_completer_socket());
-            } else {
-                next = select_.next_protocol(sig, sample);
-            }
-        } else {
-            next = select_.next_protocol(sig);
-        }
-        if (next >= kProtocols)
-            next = m;  // defensive: a policy bug must not wedge the set
+        // The episode's classified cost sample (no period yet: none).
+        const std::uint32_t next = params_.free_monitoring && sample == 0
+                                       ? cp_.observe(sig)
+                                       : cp_.observe(sig, sample);
         if (next != m) {
             mode_->store(next, std::memory_order_relaxed);
-            ++protocol_changes_;
-            select_.on_switch();
             // The completer's measurable switching span — from the
             // consensus stamp to here — covers the classification,
             // policy, and mode-store work. The systemic remainder of a
@@ -632,48 +507,7 @@ class ReactiveBarrier {
             // first-sample-after-switch discard, and the policy's
             // switch-cost accounting scales the span to a disruption
             // estimate, exactly as for the locks.
-            [[maybe_unused]] std::uint64_t dur = 0;
-            if constexpr (kCalibrating) {
-                dur = P::now() - end;
-                select_.on_switch_cycles(dur);
-            }
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]]
-                    trace::emit(trace::EventType::kSwitch,
-                                trace::ObjectClass::kBarrier, trace_id_,
-                                static_cast<std::uint8_t>(m),
-                                static_cast<std::uint8_t>(next), P::now(),
-                                trace::pack_signal(sig.protocol, sig.drift),
-                                trace::estimator_pair(select_, m, next),
-                                dur);
-            }
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                probe.emit_edges(select_, trace::ObjectClass::kBarrier,
-                                 trace_id_, static_cast<std::uint8_t>(m),
-                                 static_cast<std::uint8_t>(next), P::now());
-                // Regret account: the episode's classified cost sample
-                // against the policy's cheapest measured rung. Reuses
-                // the consensus stamp and sample — no extra measurement,
-                // host memory only (see src/audit/audit.hpp).
-                if constexpr (kCalibrating) {
-                    if (sample > 0) {
-                        if (const auto best = audit::best_alternative(
-                                select_, kProtocols)) {
-                            const std::uint64_t regret = audit::record(
-                                trace::ObjectClass::kBarrier, trace_id_,
-                                sample, *best);
-                            trace::emit(trace::EventType::kRegret,
-                                        trace::ObjectClass::kBarrier,
-                                        trace_id_,
-                                        static_cast<std::uint8_t>(m),
-                                        static_cast<std::uint8_t>(next),
-                                        end, sample, *best, regret);
-                        }
-                    }
-                }
-            }
+            cp_.switched(m, next, drift, end);
         }
     }
 
@@ -705,23 +539,11 @@ class ReactiveBarrier {
     const std::uint64_t facade_key_ = next_object_key();
     std::uint64_t rmw_floor_;             // mutated in-consensus only
     std::uint32_t floor_samples_ = 0;     // mutated in-consensus only
-    Select select_;                       // mutated in-consensus only
-    std::uint64_t protocol_changes_ = 0;  // mutated in-consensus only
+    Consensus cp_;  // mutated in-consensus only
     // Free-monitoring state (mutated in-consensus only).
     std::uint64_t prev_end_ = 0;
     const void* prev_completer_ = nullptr;
     std::uint32_t completer_streak_ = 0;
-    // Socket of the previous completer (socket-aware policies only;
-    // mutated in-consensus only).
-    SocketHandoffTracker<P> completer_socket_;
-    // Waiting-mode state: both empty (and branch-free above) for
-    // SpinWaiting instantiations.
-    [[no_unique_address]] Site wsite_;
-    [[no_unique_address]] WaitState wstate_;  // mutated in-consensus only
-    // Trace identity (0 when tracing is compiled out). Unconditional
-    // member so object layout is identical in both build modes.
-    std::uint32_t trace_id_ =
-        trace::new_object(trace::ObjectClass::kBarrier);
 };
 
 }  // namespace reactive

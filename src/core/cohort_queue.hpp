@@ -217,8 +217,8 @@ class CohortQueue {
     }
 
     /// Holder-only broadcast of the packed wait hint to every socket's
-    /// site (ReactiveLock::update_wait_policy). The hint is advisory;
-    /// relaxed stores, no ordering obligations.
+    /// site (ReactiveLock::release forwards the hint it published).
+    /// The hint is advisory; relaxed stores, no ordering obligations.
     void set_wait_hint(std::uint32_t packed)
     {
         if constexpr (kParking) {

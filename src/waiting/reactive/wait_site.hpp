@@ -7,10 +7,10 @@
  *
  *  - `SpinWaiting` (the default) instantiates the empty specialization:
  *    zero storage (`[[no_unique_address]]`), every method a no-op or a
- *    plain spin, so primitives compile to exactly the code they
- *    compiled to before this subsystem existed — the park-free
- *    bit-identity argument reduces to "the type is empty and the
- *    parking branches are `if constexpr`-pruned".
+ *    plain spin. Primitives run one wait loop for both tags, and on
+ *    this site `await(pred, poll)` is `while (!pred()) poll();` — the
+ *    hand-written spin loop — so the park-free bit-identity argument
+ *    reduces to "the type is empty and its await is the spin loop".
  *  - `ParkWaiting` holds kWakeLanes of the platform's WaitQueue
  *    eventcounts (platform/parker.hpp futex / condvar, sim/machine.hpp
  *    SimWaitQueue), the holder-published hint word, and the wake
@@ -115,10 +115,10 @@ constexpr std::uint32_t next_queue_lane(std::uint32_t pred_lane)
 
 /**
  * Empty spin site: no storage, no hint, a plain pause loop. Primitives
- * instantiated with SpinWaiting keep their historical waiting code
- * byte-for-byte (their `if constexpr (Site::kParking)` branches prune),
- * and the queue protocols' plain overloads wait through one of these:
- * its lane await is the same load-then-pause loop and its wake a no-op.
+ * instantiated with SpinWaiting run their slow-path loops through it,
+ * and the queue protocols' and CentralBarrier's plain overloads wait
+ * through one of these: its await is the load-then-pause loop and its
+ * wake a no-op.
  */
 template <Platform P>
 class WaitSite<P, SpinWaiting> {
