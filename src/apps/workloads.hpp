@@ -363,6 +363,15 @@ std::uint64_t run_lock_cycle_oversubscribed(
  * protocol wins; at low read fractions the lock degenerates to a
  * contended mutex and the queue protocol wins.
  *
+ * The trailing arguments make it the rwlock twin of
+ * run_lock_cycle_oversubscribed: `factor` threads per processor each
+ * run `ops_per_proc` operations (pass a cost model with a nonzero
+ * `preempt_quantum` when factor > 1), and with `phase_ops` > 0 a
+ * thread's operation i runs at `alt_read_permille` when
+ * i / phase_ops is odd. Phases are per thread, with no barrier between
+ * them: a spinning barrier would itself be a waiting-mode experiment.
+ * `think` = 0 means no think time.
+ *
  * @tparam RW RwLock implementation (the quantity under study).
  * @return simulated elapsed cycles.
  */
@@ -371,15 +380,25 @@ std::uint64_t run_rw_mix(std::uint32_t procs, std::uint32_t ops_per_proc,
                          std::uint32_t read_permille, std::uint64_t seed = 1,
                          std::uint32_t read_hold = 60,
                          std::uint32_t write_hold = 140,
-                         std::uint32_t think = 400)
+                         std::uint32_t think = 400, std::uint32_t factor = 1,
+                         std::shared_ptr<RW> lock = nullptr,
+                         sim::CostModel costs = sim::CostModel::alewife(),
+                         sim::MachineStats* stats_out = nullptr,
+                         std::uint32_t phase_ops = 0,
+                         std::uint32_t alt_read_permille = 0)
 {
-    sim::Machine m(procs, sim::CostModel::alewife(), seed);
-    auto lock = std::make_shared<RW>();
-    for (std::uint32_t p = 0; p < procs; ++p) {
-        m.spawn(p, [=] {
+    assert(factor >= 1);
+    sim::Machine m(procs, costs, seed);
+    if (!lock)
+        lock = std::make_shared<RW>();
+    const std::uint32_t threads = procs * factor;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+        m.spawn(t % procs, [=] {
             for (std::uint32_t i = 0; i < ops_per_proc; ++i) {
                 typename RW::Node n;
-                if (sim::random_below(1000) < read_permille) {
+                const bool alt = phase_ops != 0 && (i / phase_ops) % 2 == 1;
+                if (sim::random_below(1000) <
+                    (alt ? alt_read_permille : read_permille)) {
                     lock->lock_read(n);
                     sim::delay(read_hold);
                     lock->unlock_read(n);
@@ -388,11 +407,14 @@ std::uint64_t run_rw_mix(std::uint32_t procs, std::uint32_t ops_per_proc,
                     sim::delay(write_hold);
                     lock->unlock_write(n);
                 }
-                sim::delay(sim::random_below(think));
+                if (think > 0)
+                    sim::delay(sim::random_below(think));
             }
         });
     }
     m.run();
+    if (stats_out != nullptr)
+        *stats_out = m.stats();
     return m.elapsed();
 }
 

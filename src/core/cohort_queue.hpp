@@ -483,6 +483,7 @@ class CohortQueue {
     {
         into.wait_cycles += r.wait_cycles;
         into.blocked = into.blocked || r.blocked;
+        into.descheduled = into.descheduled || r.descheduled;
         if (r.wake_latency != 0)
             into.wake_latency = r.wake_latency;
     }

@@ -188,9 +188,9 @@ class ConsensusPoint {
 
     /**
      * A slow-path winner — now the holder — reports how it waited and
-     * stamps its hold: the measured wake latency (and, with
-     * WaitSpan::kFeed, the wait span) go to the single-writer wait
-     * policy, and a parked wait is traced.
+     * stamps its hold: the measured wake latency, any deschedule seen
+     * while it spun (and, with WaitSpan::kFeed, the wait span) go to
+     * the single-writer wait policy, and a parked wait is traced.
      */
     void waited(const AwaitResult& wr, WaitSpan span = WaitSpan::kSkip)
     {
@@ -200,6 +200,10 @@ class ConsensusPoint {
                           }) {
                 if (span == WaitSpan::kFeed && wr.wait_cycles != 0)
                     wstate_.policy.note_wait(wr.wait_cycles);
+            }
+            if constexpr (requires { wstate_.policy.note_descheduled(); }) {
+                if (wr.descheduled)
+                    wstate_.policy.note_descheduled();
             }
             if (wr.blocked) {
                 if (wr.wake_latency != 0)
@@ -448,9 +452,13 @@ class ConsensusPoint {
         }
     }
 
+    /// a0 carries the new hint in its low half and, for a policy
+    /// gated on deschedule evidence, the releases since the last
+    /// report in its high half (why it left spin).
     void trace_wait_mode(std::uint8_t old_mode, std::uint8_t new_mode,
                          std::uint32_t hint)
     {
+        std::uint64_t a0 = hint;
         std::uint64_t ests = 0;
         std::uint64_t ew = 0;
         if constexpr (requires {
@@ -462,8 +470,14 @@ class ConsensusPoint {
                    (wstate_.policy.block_estimate() & 0xffffffffull);
             ew = wstate_.policy.expected_wait();
         }
+        if constexpr (requires {
+                          wstate_.policy.releases_since_deschedule();
+                      }) {
+            a0 |= std::uint64_t{wstate_.policy.releases_since_deschedule()}
+                  << 32;
+        }
         trace::emit(trace::EventType::kWaitModeSwitch, cls_, trace_id_,
-                    old_mode, new_mode, P::now(), hint, ests, ew);
+                    old_mode, new_mode, P::now(), a0, ests, ew);
     }
 
     Select select_;

@@ -314,7 +314,7 @@ class ReactiveLock {
                 ++retries;
             }
             return false;
-        }, [&] { backoff.pause(); });
+        }, [&] { return backoff.pause(); });
         if (!won)
             return std::nullopt;
         cp_.waited(wr, Consensus::WaitSpan::kFeed);

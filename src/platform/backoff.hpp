@@ -52,12 +52,16 @@ class ExpBackoff {
     {
     }
 
-    /// Waits a random interval in [0, mean) and doubles the mean (capped).
-    void pause()
+    /// Waits a random interval in [0, mean), doubles the mean (capped),
+    /// and returns the interval drawn: a caller that times its polls
+    /// can then tell its own pause from time it spent descheduled.
+    std::uint32_t pause()
     {
-        Platform::delay(Platform::random_below(mean_));
+        const std::uint32_t d = Platform::random_below(mean_);
+        Platform::delay(d);
         if (mean_ < params_.maximum)
             mean_ <<= 1;
+        return d;
     }
 
     /// Halves the mean after a success, per Anderson's best-performing

@@ -35,6 +35,12 @@ struct NativePlatform {
 
     static std::uint64_t now() noexcept { return tsc_now(); }
 
+    /// Poll gap, beyond the poll's own pause, that means a spinning
+    /// waiter lost its core to another thread (WaitSite's deschedule
+    /// test): 2^16 TSC ticks, ~20-30 us — above interrupt and steal
+    /// jitter, below a scheduler time slice.
+    static constexpr std::uint64_t deschedule_gap = std::uint64_t{1} << 16;
+
     static std::uint32_t random_below(std::uint32_t bound) noexcept
     {
         thread_local XorShift64Star rng{

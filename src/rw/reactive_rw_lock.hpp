@@ -176,7 +176,7 @@ class ReactiveRwLock {
         // admits the reader regardless of the (possibly stale) hint.
         // No monitoring: readers never feed the policy.
         if (params_.optimistic_simple &&
-            simple_.try_lock_read() == Attempt::kAcquired) {
+            read_simple_once() == Attempt::kAcquired) {
             n.rm = ReleaseMode::kSimple;
             return;
         }
@@ -202,10 +202,13 @@ class ReactiveRwLock {
     {
         // A leaving reader may free the simple word for a parked
         // writer, or (last of its group) grant the queue's next writer
-        // — which wakes that writer's lane itself.
+        // — which wakes that writer's lane itself. Only the release
+        // that empties the word can satisfy a group-lane waiter:
+        // readers there wait for the writer bit to clear, which no
+        // read release does, so earlier releases wake nobody.
         if (n.rm == ReleaseMode::kSimple) {
-            simple_.unlock_read();
-            cp_.site().wake();
+            if (simple_.unlock_read())
+                cp_.site().wake();
         } else {
             queue_.end_read(n.qnode, cp_.site());
         }
@@ -303,7 +306,7 @@ class ReactiveRwLock {
     /// may be spurious.
     bool try_lock_read(Node& n)
     {
-        if (simple_.try_lock_read() == Attempt::kAcquired) {
+        if (read_simple_once() == Attempt::kAcquired) {
             n.rm = ReleaseMode::kSimple;
             return true;
         }
@@ -361,6 +364,19 @@ class ReactiveRwLock {
     static constexpr std::uint32_t kQueueIndex =
         static_cast<std::uint32_t>(Mode::kQueue);
 
+    /// One simple-word read attempt. A back-out that empties the word
+    /// frees it like a last reader's release, so it wakes the group
+    /// lane too: a one-shot try that gives up after it would otherwise
+    /// leave a writer parked on an empty word.
+    Attempt read_simple_once()
+    {
+        bool emptied = false;
+        const Attempt a = simple_.try_lock_read(emptied);
+        if (emptied)
+            cp_.site().wake();
+        return a;
+    }
+
     /// Simple-protocol read acquisition: poll with backoff while a
     /// writer is inside; false if the protocol was retired or the hint
     /// moved on (caller retries with the queue protocol). The loop runs
@@ -378,10 +394,10 @@ class ReactiveRwLock {
         const AwaitResult wr = cp_.site().await([&] {
             if (!std::exchange(first, false) && mode() != Mode::kSimple)
                 return true;
-            const Attempt a = simple_.try_lock_read();
+            const Attempt a = read_simple_once();
             acquired = a == Attempt::kAcquired;
             return a != Attempt::kBusy;
-        }, [&] { backoff.pause(); });
+        }, [&] { return backoff.pause(); });
         cp_.parked(wr);
         return acquired;
     }
@@ -417,7 +433,7 @@ class ReactiveRwLock {
                 return true;
             ++retries;
             return false;
-        }, [&] { backoff.pause(); });
+        }, [&] { return backoff.pause(); });
         if (!acquired)
             return std::nullopt;
         cp_.waited(wr);

@@ -102,6 +102,16 @@ class SimpleRwLock {
     /// if a writer (or retirement) raced in between test and add.
     Attempt try_lock_read()
     {
+        bool emptied = false;
+        return try_lock_read(emptied);
+    }
+
+    /// try_lock_read that also sets @p emptied when its back-out left
+    /// the word empty: the writer it raced has left meanwhile, so the
+    /// back-out is the last departure from the word, exactly like a
+    /// last reader's release (see unlock_read).
+    Attempt try_lock_read(bool& emptied)
+    {
         const std::uint32_t seen = word_.load(std::memory_order_relaxed);
         if (seen & kInvalidBit)
             return Attempt::kInvalid;
@@ -110,7 +120,9 @@ class SimpleRwLock {
         const std::uint32_t prev =
             word_.fetch_add(kReaderUnit, std::memory_order_acquire);
         if (prev & (kWriterBit | kInvalidBit)) {
-            word_.fetch_sub(kReaderUnit, std::memory_order_release);
+            emptied = word_.fetch_sub(kReaderUnit,
+                                      std::memory_order_release) ==
+                      kReaderUnit;
             return (prev & kInvalidBit) ? Attempt::kInvalid : Attempt::kBusy;
         }
         return Attempt::kAcquired;
@@ -127,9 +139,14 @@ class SimpleRwLock {
         return (expected & kInvalidBit) ? Attempt::kInvalid : Attempt::kBusy;
     }
 
-    void unlock_read()
+    /// Read release; true when it left the word empty. Only that
+    /// release can admit a writer, and no read release admits a
+    /// reader (it never clears the writer bit), so a caller whose
+    /// waiters park wakes them only on true.
+    bool unlock_read()
     {
-        word_.fetch_sub(kReaderUnit, std::memory_order_release);
+        return word_.fetch_sub(kReaderUnit, std::memory_order_release) ==
+               kReaderUnit;
     }
 
     /// Write release. An RMW, not a store: the word may transiently

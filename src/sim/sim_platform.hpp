@@ -36,6 +36,12 @@ struct SimPlatform {
 
     static std::uint64_t now() { return sim::now(); }
 
+    /// Poll gap, beyond the poll's own pause, that means a spinning
+    /// waiter lost its processor (WaitSite's deschedule test): above
+    /// the jitter of a contended poll, below a preemption, which costs
+    /// thread_unload + thread_reload plus another thread's run.
+    static constexpr std::uint64_t deschedule_gap = 2048;
+
     static std::uint32_t random_below(std::uint32_t bound)
     {
         return sim::random_below(bound);

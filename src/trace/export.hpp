@@ -31,10 +31,14 @@
  *   kWake       a0 = advisory parked-waiter count of the woken lane,
  *               a1 = the lane (0 = group lane, 1..15 = queue lanes)
  *   kWaitModeSwitch
- *               from/to = old/new WaitMode; a0 = packed new hint
- *               (wait_select.hpp layout), a1 = (hold EWMA << 32) |
- *               (block-cost EWMA & 0xffffffff), a2 = expected wait —
- *               the estimator snapshot behind the decision
+ *               from/to = old/new WaitMode; a0 = (releases since the
+ *               last deschedule report << 32) | packed new hint
+ *               (wait_select.hpp layout). The high half is >= 1 for
+ *               a gated policy (it counts its own release; 0xffffffff =
+ *               no report yet) and 0 for a policy without the gate,
+ *               a1 = (hold EWMA << 32) | (block-cost EWMA & 0xffffffff),
+ *               a2 = expected wait — the estimator snapshot behind the
+ *               decision
  */
 #pragma once
 
@@ -132,7 +136,8 @@ inline void write_chrome_json(std::ostream& os, const Capture& cap)
             os << ", \"woken\": " << e.a0 << ", \"lane\": " << e.a1;
             break;
         case EventType::kWaitModeSwitch:
-            os << ", \"hint\": " << e.a0
+            os << ", \"hint\": " << (e.a0 & 0xffffffffu)
+               << ", \"since_deschedule\": " << (e.a0 >> 32)
                << ", \"hold_est\": " << (e.a1 >> 32)
                << ", \"block_est\": " << (e.a1 & 0xffffffffu)
                << ", \"expected_wait\": " << e.a2;

@@ -16,10 +16,12 @@
  *
  *   - **always-spin** when the object's handoffs are saturated (some
  *     waiter is resident and polling — blocking machinery would be
- *     pure overhead),
+ *     pure overhead) or no waiter has lately lost its processor (no
+ *     other thread wants it, so parking would free nothing),
  *   - **two-phase** (spin-then-park with the *calibrated*
  *     Lpoll = alpha x B_measured, replacing the static Alewife
- *     constant) when handoffs run at scheduling timescales, and
+ *     constant) when handoffs run at scheduling timescales and
+ *     waiters are being descheduled, and
  *   - **immediate-park** when measured waits dwarf the poll budget
  *     (the polling phase itself becomes pure waste — deep queues,
  *     heavy oversubscription).
@@ -79,6 +81,20 @@
  * per handoff, so leaving spin demands the most evidence. One
  * preemption-mangled handoff or one quiet release never flips the
  * mode.
+ *
+ * Leaving spin also needs **deschedule evidence**. Parking pays B to
+ * free the waiter's processor, so it pays off only when another thread
+ * is ready to run there, and an unsaturated gap cannot tell: with one
+ * thread per processor, a think-paced lock or an rwlock writer whose
+ * gaps span reader tenures shows the same long gaps as an
+ * oversubscribed object. So the spin -> two-phase step is taken only
+ * while some slow-path winner reported, within the last
+ * kDescheduleEvidence releases, that it lost its processor mid-spin —
+ * WaitSite's pause-corrected poll-gap test, the trick of time-published
+ * locks (He, Scherer & Scott, HiPC 2005): a waiter's own clock shows
+ * that it was preempted. Every other edge is as above. The report
+ * arrives through the winner's consensus step, so it is single-writer
+ * and adds no shared-memory traffic.
  */
 #pragma once
 
@@ -185,6 +201,12 @@ concept WaitSelectPolicy =
  */
 class CalibratedWaitPolicy {
   public:
+    /// Releases for which one deschedule report keeps the
+    /// spin -> two-phase step open (64 and 4,096 measured the same).
+    static constexpr std::uint32_t kDescheduleEvidence = 256;
+    /// releases_since_deschedule() before the first report.
+    static constexpr std::uint32_t kNeverDescheduled = 0xffffffffu;
+
     struct Params {
         std::uint64_t hold_seed = 200;    ///< cycles; mean hold time seed
         std::uint64_t block_seed = 1000;  ///< cycles; B seed until measured
@@ -262,6 +284,8 @@ class CalibratedWaitPolicy {
     /// re-decide the mode; recompute the hint. In-consensus only.
     std::uint32_t on_release(const WaitSignal& s)
     {
+        if (since_deschedule_ != kNeverDescheduled)
+            ++since_deschedule_;
         hold_.update(clamped(s.hold_cycles, hold_), params_.ewma_shift);
         depth_x16_.update(static_cast<std::uint64_t>(s.queue_depth) * 16,
                           params_.ewma_shift);
@@ -325,8 +349,21 @@ class CalibratedWaitPolicy {
         wait_.observe(cycles > cap ? cap : cycles, params_.ewma_shift);
     }
 
+    /// Slow-path winner, now holder: it lost its processor to another
+    /// thread while it spun (AwaitResult::descheduled). Opens the
+    /// spin -> two-phase step for the next kDescheduleEvidence
+    /// releases.
+    void note_descheduled() { since_deschedule_ = 0; }
+
     std::uint32_t hint() const { return hint_; }
     WaitMode mode() const { return mode_; }
+
+    /// Releases since the last deschedule report (kNeverDescheduled
+    /// before the first).
+    std::uint32_t releases_since_deschedule() const
+    {
+        return since_deschedule_;
+    }
 
     // ---- estimator lanes (tests, diagnostics, trace snapshots) -------
 
@@ -374,6 +411,14 @@ class CalibratedWaitPolicy {
                idle_.value <= hold_.value / 2 + params_.idle_slack;
     }
 
+    /// Parking frees a processor only if another thread wants it: some
+    /// winner reported a deschedule within the last
+    /// kDescheduleEvidence releases.
+    bool processor_wanted() const
+    {
+        return since_deschedule_ <= kDescheduleEvidence;
+    }
+
     /// Waits so long the two-phase poll prefix virtually always
     /// expires — polling before parking is pure waste.
     bool waits_dwarf_poll() const
@@ -387,11 +432,15 @@ class CalibratedWaitPolicy {
     /// one rung at a time: spin never jumps straight to park on a
     /// stale W estimate, and park steps down through two-phase, whose
     /// poll window re-measures the gap before spin is reachable.
+    /// Leaving spin also needs recent deschedule evidence: a gap that
+    /// spans reader tenures or think time is no reason to pay B when
+    /// no other thread wants the waiter's processor.
     WaitMode desired() const
     {
         switch (mode_) {
         case WaitMode::kSpin:
-            return saturated() ? WaitMode::kSpin : WaitMode::kTwoPhase;
+            return saturated() || !processor_wanted() ? WaitMode::kSpin
+                                                      : WaitMode::kTwoPhase;
         case WaitMode::kTwoPhase:
             if (saturated())
                 return WaitMode::kSpin;
@@ -469,6 +518,7 @@ class CalibratedWaitPolicy {
     std::uint32_t park_age_ = 0;         ///< releases spent in kPark
     std::uint32_t revalidate_left_ = 0;  ///< park re-entry ban countdown
     bool idle_seen_ = false;             ///< any gap sample folded yet?
+    std::uint32_t since_deschedule_ = kNeverDescheduled;
     std::uint64_t last_release_ = 0;
     std::uint32_t hint_ = 0;
 };

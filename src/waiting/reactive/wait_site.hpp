@@ -69,6 +69,16 @@
  * measured wake latency (release-timestamp -> running) is reported to
  * the caller, which feeds it to the WaitSelectPolicy only once it is
  * the holder — keeping the block-cost estimator single-writer.
+ *
+ * Deschedule evidence. Parking pays the block cost to free the
+ * waiter's processor, which helps only if another thread wants it. A
+ * spin slice times each poll: when the clock moved further between
+ * two polls than the poll itself paused (a backoff poll returns the
+ * delay it drew; a plain pause counts as zero), by more than the
+ * platform's `deschedule_gap`, the waiter was descheduled mid-spin,
+ * and `AwaitResult::descheduled` says so. Like the wake latency, the
+ * flag reaches the wait policy only through the winner's consensus
+ * step.
  */
 #pragma once
 
@@ -94,6 +104,10 @@ struct AwaitResult {
     std::uint64_t wait_cycles = 0;   ///< wait start -> predicate true
     std::uint64_t wake_latency = 0;  ///< release stamp -> running (0 = n/a)
     bool blocked = false;            ///< the wait reached the parked phase
+    /// A spin poll gap outlasted the poll's own pause by more than the
+    /// platform's deschedule_gap: the waiter lost its processor to
+    /// another thread while it spun.
+    bool descheduled = false;
 };
 
 template <Platform P, typename Waiting = SpinWaiting>
@@ -198,11 +212,14 @@ class WaitSite<P, ParkWaiting> {
      * reproduce the spin build, and polling a contended line at pause
      * cadence is an invalidation storm the spin build does not have.
      * Local-flag waits (queue nodes) use the plain-pause default.
+     * A pacing poll returns the cycles it paused on purpose, so the
+     * spin slices' deschedule test does not mistake a long backoff
+     * for lost processor time.
      */
     template <typename Pred>
     AwaitResult await(Pred&& pred)
     {
-        return await_on(kGroupLane, pred, [] { P::pause(); }, false);
+        return await_on(kGroupLane, pred, [] { P::pause(); return 0u; }, false);
     }
 
     template <typename Pred, typename Poll>
@@ -219,7 +236,7 @@ class WaitSite<P, ParkWaiting> {
     template <typename Pred>
     AwaitResult await(std::uint32_t lane, Pred&& pred)
     {
-        return await_on(lane, pred, [] { P::pause(); }, false);
+        return await_on(lane, pred, [] { P::pause(); return 0u; }, false);
     }
 
     /// await(lane, pred) for a node sharing its lane with the nodes
@@ -233,7 +250,7 @@ class WaitSite<P, ParkWaiting> {
     template <typename Pred>
     AwaitResult await_shared(std::uint32_t lane, Pred&& pred)
     {
-        return await_on(lane, pred, [] { P::pause(); }, true);
+        return await_on(lane, pred, [] { P::pause(); return 0u; }, true);
     }
 
     /// Stamps the wake timestamp and wakes every waiter parked on
@@ -347,16 +364,23 @@ class WaitSite<P, ParkWaiting> {
                 // park hint published mid-wait must reach waiters that
                 // entered under the old spin hint (nothing else ever
                 // interrupts a spin loop). The slice is bounded both
-                // in polls and in cycles — see kSpinSliceCycles.
+                // in polls and in cycles — see kSpinSliceCycles. The
+                // same clock reads time each poll for the deschedule
+                // test (file header).
                 bool satisfied = false;
-                const std::uint64_t slice_end = P::now() + kSpinSliceCycles;
+                std::uint64_t last = P::now();
+                const std::uint64_t slice_end = last + kSpinSliceCycles;
                 for (std::uint32_t i = 0; i < kSpinSlice; ++i) {
                     if (pred()) {
                         satisfied = true;
                         break;
                     }
-                    poll();
-                    if (P::now() >= slice_end)
+                    const std::uint64_t paused = poll();
+                    const std::uint64_t now = P::now();
+                    if (now > last + paused + P::deschedule_gap)
+                        r.descheduled = true;
+                    last = now;
+                    if (now >= slice_end)
                         break;
                 }
                 if (satisfied)

@@ -46,6 +46,7 @@
 #include "trace/instrument.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
+#include "waiting/reactive/wait_select.hpp"
 
 using namespace reactive;
 using sim::SimPlatform;
@@ -306,6 +307,49 @@ TEST(TraceAuditTest, BarrierTrailCountsSwitchesAndEpisodes)
     EXPECT_EQ(current, bar->protocol_index());
     EXPECT_GT(episodes, 0u) << "episode cost samples must be recorded";
     EXPECT_LE(episodes, 150u);
+    trace::reset();
+}
+
+using CalWaitLockSim =
+    ReactiveNodeLock<SimPlatform, AlwaysSwitchPolicy, ReactiveQueue<SimPlatform>,
+                     ParkWaiting, CalibratedWaitPolicy>;
+
+TEST(TraceAuditTest, WaitModeSwitchCarriesDescheduleRecency)
+{
+    // Four threads per processor with think time: spinners lose their
+    // processor at quantum expiries, report it, and the policy leaves
+    // spin. Every kWaitModeSwitch carries the hint in the low half of
+    // a0 and the releases since the last deschedule report in the high
+    // half; a spin -> two-phase step needs that report to be recent.
+    trace::reset();
+    trace::set_enabled(true);
+    auto lock = std::make_shared<CalWaitLockSim>();
+    sim::CostModel costs = sim::CostModel::alewife();
+    costs.preempt_quantum = 10000;
+    apps::run_lock_cycle_oversubscribed<CalWaitLockSim>(
+        2, /*factor=*/4, /*iters=*/60, /*cs=*/200, /*think=*/3000,
+        /*seed=*/1, lock, costs);
+    trace::set_enabled(false);
+
+    const trace::Capture cap = trace::capture();
+    std::uint64_t switches = 0;
+    std::uint64_t leave_spin = 0;
+    for (const trace::CapturedEvent& ce : cap.events) {
+        if (ce.e.type != trace::EventType::kWaitModeSwitch)
+            continue;
+        ++switches;
+        const WaitHint h =
+            unpack_wait_hint(static_cast<std::uint32_t>(ce.e.a0));
+        EXPECT_EQ(static_cast<std::uint8_t>(h.mode), ce.e.to);
+        const std::uint64_t since = ce.e.a0 >> 32;
+        if (ce.e.from == static_cast<std::uint8_t>(WaitMode::kSpin)) {
+            EXPECT_EQ(ce.e.to, static_cast<std::uint8_t>(WaitMode::kTwoPhase));
+            EXPECT_LE(since, CalibratedWaitPolicy::kDescheduleEvidence);
+            ++leave_spin;
+        }
+    }
+    EXPECT_EQ(switches, lock->inner().wait_mode_changes());
+    EXPECT_GT(leave_spin, 0u);
     trace::reset();
 }
 

@@ -3,15 +3,18 @@
 // J-structures, barriers, and the waiting mutex, on both platforms —
 // plus the reactive waiting axis: the eventcount contract of both
 // native wait queues, the sim park/wake integration of the reactive
-// primitives, and native oversubscribed park/wake storms.
+// primitives, the deschedule gate on leaving spin, and native
+// oversubscribed park/wake storms.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/workloads.hpp"
@@ -534,6 +537,13 @@ using ReactiveWaitSim = ReactiveNodeLock<SimPlatform, AlwaysSwitchPolicy,
                                          ReactiveQueue<SimPlatform>,
                                          ParkWaiting, CalibratedWaitPolicy>;
 
+/// Binary policy that never leaves the protocol it starts in.
+struct StayPolicy {
+    bool on_tts_acquire(bool) { return false; }
+    bool on_queue_acquire(bool) { return false; }
+    void on_switch() {}
+};
+
 sim::CostModel preemptive_costs()
 {
     sim::CostModel c = sim::CostModel::alewife();
@@ -699,12 +709,7 @@ TEST(WaitAxisSimTest, BarrierParkingStaysInLockstepAndParks)
     // site-aware episode wait; tree/dissemination keep local spins) and
     // force the park hint: early arrivals must park and the completer's
     // broadcast must wake every one, or the episode wedges.
-    struct NeverPolicy {
-        bool on_tts_acquire(bool) { return false; }
-        bool on_queue_acquire(bool) { return false; }
-        void on_switch() {}
-    };
-    using Bar = ReactiveBarrier<SimPlatform, NeverPolicy,
+    using Bar = ReactiveBarrier<SimPlatform, StayPolicy,
                                 CentralTreeBarrierSet<SimPlatform>,
                                 ParkWaiting, FixedWaitPolicy>;
     const std::uint32_t procs = 4;
@@ -730,6 +735,205 @@ TEST(WaitAxisSimTest, BarrierParkingStaysInLockstepAndParks)
     EXPECT_EQ(bar->mode(), Bar::Mode::kCentral);
     EXPECT_GT(m.stats().blocks, 0u);
     EXPECT_EQ(m.stats().wakes, m.stats().blocks);
+}
+
+// ---- deschedule evidence: the gate on leaving spin ------------------------
+//
+// Parking pays B to free the waiter's processor, which helps only when
+// another thread wants it. Spin slices report a poll gap that outlasts
+// the poll's own pause by more than the platform's deschedule_gap, and
+// CalibratedWaitPolicy steps spin -> two-phase only while such a report
+// is recent.
+
+TEST(DescheduleGateTest, PreemptedSpinnerReportsDescheduled)
+{
+    // Two threads share one single-context processor (x2): the spinner
+    // runs first and loses the processor at each quantum expiry to the
+    // thread that will set its flag.
+    sim::Machine m(1, preemptive_costs(), 1);
+    WaitSite<SimPlatform, ParkWaiting> site;
+    sim::Atomic<std::uint32_t> flag{0};
+    AwaitResult r;
+    m.spawn(0, [&] { r = site.await([&] { return flag.load() != 0; }); });
+    m.spawn(0, [&] {
+        sim::delay(30000);
+        flag.store(1);
+    });
+    m.run();
+    EXPECT_GT(m.stats().preemptions, 0u);
+    EXPECT_GT(r.wait_cycles, 30000u);
+    EXPECT_FALSE(r.blocked);  // the default hint is spin
+    EXPECT_TRUE(r.descheduled);
+}
+
+/// A waiter alone on its processor (x1) spinning with backoff until a
+/// flag set 200k cycles later; @p report_pause picks whether its poll
+/// returns the drawn delay. Returns the site's report and the final
+/// backoff mean.
+std::pair<AwaitResult, std::uint32_t> backoff_wait(bool report_pause)
+{
+    sim::Machine m(2, preemptive_costs(), 1);
+    WaitSite<SimPlatform, ParkWaiting> site;
+    sim::Atomic<std::uint32_t> flag{0};
+    AwaitResult r;
+    std::uint32_t mean = 0;
+    m.spawn(0, [&] {
+        ExpBackoff<SimPlatform> backoff(BackoffParams{16, 8192});
+        auto pred = [&] { return flag.load() != 0; };
+        r = site.await(pred, [&] {
+            const std::uint32_t drawn = backoff.pause();
+            return report_pause ? drawn : 0u;
+        });
+        mean = backoff.mean();
+    });
+    m.spawn(1, [&] {
+        sim::delay(200000);
+        flag.store(1);
+    });
+    m.run();
+    EXPECT_EQ(m.stats().preemptions, 0u);
+    return {r, mean};
+}
+
+TEST(DescheduleGateTest, CappedBackoffIsNotADeschedule)
+{
+    // The pauses reach the 8,192-cycle cap, four times the sim's
+    // deschedule_gap, yet the waiter never lost its processor: the
+    // pause it drew is subtracted from each gap.
+    const auto [r, mean] = backoff_wait(/*report_pause=*/true);
+    EXPECT_EQ(mean, 8192u);
+    EXPECT_FALSE(r.descheduled);
+    // The same waiter with a poll that hides its pause counts its own
+    // backoff as lost time: the correction is what keeps it quiet.
+    EXPECT_TRUE(backoff_wait(/*report_pause=*/false).first.descheduled);
+}
+
+/// One release of a 100-cycle hold, 10k cycles after the previous
+/// one: a handoff gap far above hold/2, so the gap test alone says
+/// "unsaturated" (the idle lane grows within a few releases).
+void idle_release(CalibratedWaitPolicy& pol, std::uint64_t& now)
+{
+    now += 10000;
+    WaitSignal s;
+    s.hold_cycles = 100;
+    s.now_cycles = now;
+    (void)pol.on_release(s);
+}
+
+TEST(DescheduleGateTest, PolicyLeavesSpinOnlyOnRecentEvidence)
+{
+    CalibratedWaitPolicy pol;
+    std::uint64_t now = 0;
+    EXPECT_EQ(pol.releases_since_deschedule(),
+              CalibratedWaitPolicy::kNeverDescheduled);
+    for (int i = 0; i < 100; ++i)
+        idle_release(pol, now);
+    EXPECT_GT(pol.idle_estimate(), pol.hold_estimate());
+    EXPECT_EQ(pol.mode(), WaitMode::kSpin);  // nobody wants the processor
+
+    // One report opens the step; leave_spin_streak (8) agreeing
+    // releases take it.
+    pol.note_descheduled();
+    int steps = 0;
+    while (pol.mode() == WaitMode::kSpin && steps < 20) {
+        idle_release(pol, now);
+        ++steps;
+    }
+    EXPECT_EQ(pol.mode(), WaitMode::kTwoPhase);
+    EXPECT_EQ(steps, 8);
+    EXPECT_EQ(pol.releases_since_deschedule(), 8u);
+}
+
+TEST(DescheduleGateTest, DescheduleEvidenceExpires)
+{
+    CalibratedWaitPolicy pol;
+    std::uint64_t now = 0;
+    pol.note_descheduled();
+    // Saturated handoffs (gap 0) while the evidence ages out.
+    for (std::uint32_t i = 0; i <= CalibratedWaitPolicy::kDescheduleEvidence;
+         ++i) {
+        now += 100;
+        WaitSignal s;
+        s.hold_cycles = 100;
+        s.now_cycles = now;
+        (void)pol.on_release(s);
+    }
+    EXPECT_EQ(pol.mode(), WaitMode::kSpin);
+    for (int i = 0; i < 100; ++i)
+        idle_release(pol, now);
+    EXPECT_EQ(pol.mode(), WaitMode::kSpin);  // stale evidence
+    EXPECT_GT(pol.releases_since_deschedule(),
+              CalibratedWaitPolicy::kDescheduleEvidence);
+}
+
+using CalRwSim = ReactiveRwLock<SimPlatform, AlwaysSwitchPolicy, ParkWaiting,
+                                CalibratedWaitPolicy>;
+using SpinRwSim = ReactiveRwLock<SimPlatform, AlwaysSwitchPolicy>;
+
+/// Read and write holds of the gate's rwlock runs (DESIGN.md's grid).
+constexpr std::uint32_t kOversubReadHold = 100;
+constexpr std::uint32_t kOversubWriteHold = 500;
+
+TEST(DescheduleGateTest, CalibratedRwLockNeverParksAtFactorOne)
+{
+    // Eight threads on eight processors, quantum on: no thread ever
+    // wants a waiter's processor. The mix alternates 25% and 95% reads,
+    // so the writers' handoff gaps span reader tenures and the gap test
+    // alone reads "unsaturated" (without the gate this run parks
+    // ~1,200 times and runs ~37% slower than always-spin).
+    auto rw = std::make_shared<CalRwSim>();
+    sim::MachineStats st;
+    apps::run_rw_mix<CalRwSim>(8, /*ops_per_proc=*/200, /*read_permille=*/250,
+                               /*seed=*/1, kOversubReadHold, kOversubWriteHold,
+                               /*think=*/0, /*factor=*/1, rw,
+                               preemptive_costs(), &st, /*phase_ops=*/25,
+                               /*alt_read_permille=*/950);
+    EXPECT_EQ(st.preemptions, 0u);
+    EXPECT_EQ(st.blocks, 0u);
+    EXPECT_EQ(rw->wait_mode_changes(), 0u);
+}
+
+TEST(DescheduleGateTest, CalibratedNodeLockNeverParksAtFactorOne)
+{
+    // Think time U[0,3000) opens handoff gaps far above the 200-cycle
+    // hold, but every thread owns its processor (without the gate this
+    // run parks ~1,560 times).
+    auto lock = std::make_shared<ReactiveWaitSim>();
+    sim::MachineStats st;
+    apps::run_lock_cycle_oversubscribed<ReactiveWaitSim>(
+        8, /*factor=*/1, /*iters=*/200, /*cs=*/200, /*think=*/3000,
+        /*seed=*/1, lock, preemptive_costs(), &st);
+    EXPECT_EQ(st.preemptions, 0u);
+    EXPECT_EQ(st.blocks, 0u);
+    EXPECT_EQ(lock->inner().wait_mode_changes(), 0u);
+}
+
+TEST(DescheduleGateTest, OversubscribedCalibratedRwLockParksAndBeatsSpin)
+{
+    // x2 and x4, zero think: spinners burn quanta the holder and the
+    // readers need, the waiters see it, and the calibrated rwlock
+    // leaves spin and parks. Four processors keep the always-spin rows
+    // (simulated poll by poll) cheap; at eight the ratios are similar
+    // (DESIGN.md).
+    for (const std::uint32_t reads : {250u, 950u}) {
+        for (const std::uint32_t factor : {2u, 4u}) {
+            const std::uint64_t spin = apps::run_rw_mix<SpinRwSim>(
+                4, /*ops_per_proc=*/100, reads, /*seed=*/1, kOversubReadHold,
+                kOversubWriteHold, /*think=*/0, factor, nullptr,
+                preemptive_costs());
+            auto rw = std::make_shared<CalRwSim>();
+            sim::MachineStats st;
+            const std::uint64_t cal = apps::run_rw_mix<CalRwSim>(
+                4, /*ops_per_proc=*/100, reads, /*seed=*/1, kOversubReadHold,
+                kOversubWriteHold, /*think=*/0, factor, rw, preemptive_costs(),
+                &st);
+            EXPECT_GT(st.blocks, 0u) << reads << " x" << factor;
+            EXPECT_GT(rw->wait_mode_changes(), 0u) << reads << " x" << factor;
+            EXPECT_LE(static_cast<double>(cal),
+                      0.85 * static_cast<double>(spin))
+                << reads << " x" << factor;
+        }
+    }
 }
 
 // ---- directed handoff wakeups: wake lanes -------------------------------
@@ -927,6 +1131,53 @@ TEST(WakeLaneSimTest, NodeLockQueueReleaseWakesExactlyTheNextWaiter)
     EXPECT_EQ(m.stats().wakes, m.stats().blocks);
 }
 
+TEST(WakeLaneSimTest, ReadReleaseWakesOnlyWhenItEmptiesTheSimpleWord)
+{
+    // Two readers hold the simple word while a writer parks on it. A
+    // read release never clears the writer bit the group lane's readers
+    // wait on, so only the release that empties the word can satisfy
+    // anyone parked there: the first release wakes nobody, the second
+    // wakes the writer once.
+    using RW = ReactiveRwLock<SimPlatform, StayPolicy, ParkWaiting,
+                              FixedWaitPolicy>;
+    sim::Machine m(3);
+    auto rw = std::make_shared<RW>();
+    rw->wait_policy() = FixedWaitPolicy(WaitingAlgorithm::always_block());
+    std::uint64_t first_wakes = 0;
+    std::uint64_t second_wakes = 0;
+    m.spawn(0, [&] {
+        typename RW::Node n;
+        rw->lock_write(n);  // its release publishes the park hint
+        rw->unlock_write(n);
+        rw->lock_read(n);
+        sim::delay(kLaneHold);
+        const std::uint64_t before = m.stats().wakes;
+        rw->unlock_read(n);
+        first_wakes = m.stats().wakes - before;
+    });
+    m.spawn(1, [&] {
+        typename RW::Node n;
+        sim::delay(1000);
+        rw->lock_read(n);
+        sim::delay(2 * kLaneHold);
+        const std::uint64_t before = m.stats().wakes;
+        rw->unlock_read(n);
+        second_wakes = m.stats().wakes - before;
+    });
+    m.spawn(2, [&] {
+        typename RW::Node n;
+        sim::delay(3000);
+        rw->lock_write(n);
+        rw->unlock_write(n);
+    });
+    m.run();
+    EXPECT_EQ(rw->mode(), RW::Mode::kSimple);
+    EXPECT_EQ(first_wakes, 0u);
+    EXPECT_EQ(second_wakes, 1u);
+    EXPECT_EQ(m.stats().blocks, 1u);
+    EXPECT_EQ(m.stats().wakes, 1u);
+}
+
 /// One parking rwlock run on @p seed: mixed reads and writes with a
 /// protocol switch every few writes, so lanes are assigned across
 /// grants, propagation and invalidation walks. @p shift_heap allocates
@@ -1062,44 +1313,6 @@ TEST(ParkWakeStormTest, OversubscribedLockStormUnderModeSwitches)
     EXPECT_EQ(count.load(), static_cast<long>(threads) * kIters);
 }
 
-TEST(ParkWakeStormTest, OversubscribedRwLockStormUnderModeSwitches)
-{
-    using RW = ReactiveRwLock<NativePlatform, AlwaysSwitchPolicy,
-                              ParkWaiting, CyclingWaitPolicy>;
-    RW rw;
-    const std::uint32_t threads = storm_threads(4);
-    constexpr int kIters = 250;
-    std::atomic<int> writers_in{0};
-    std::atomic<int> violations{0};
-    std::atomic<long> ops{0};
-    std::vector<std::thread> pool;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-            for (int i = 0; i < kIters; ++i) {
-                typename RW::Node n;
-                if ((i + static_cast<int>(t)) % 4 == 0) {
-                    rw.lock_write(n);
-                    if (writers_in.fetch_add(1,
-                                             std::memory_order_relaxed) != 0)
-                        violations.fetch_add(1, std::memory_order_relaxed);
-                    writers_in.fetch_sub(1, std::memory_order_relaxed);
-                    rw.unlock_write(n);
-                } else {
-                    rw.lock_read(n);
-                    if (writers_in.load(std::memory_order_relaxed) != 0)
-                        violations.fetch_add(1, std::memory_order_relaxed);
-                    rw.unlock_read(n);
-                }
-                ops.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (auto& th : pool)
-        th.join();
-    EXPECT_EQ(violations.load(), 0);
-    EXPECT_EQ(ops.load(), static_cast<long>(threads) * kIters);
-}
-
 /// Binary policy that switches protocol on every third slow-path
 /// decision, in either direction. In-consensus only, like any policy.
 class EveryThirdSwitchPolicy {
@@ -1112,39 +1325,72 @@ class EveryThirdSwitchPolicy {
     std::uint32_t n_ = 0;
 };
 
-TEST(ParkWakeStormTest, RwLockProtocolSwitchStormOnLanes)
+/// An 8-slot record a writer rebuilds around a hashed hold: slot 0
+/// first, the rest after the hold, so a reader admitted while a writer
+/// is inside sees slots that disagree. Relaxed atomics: the lock alone
+/// must order them.
+struct TornRecord {
+    std::array<std::atomic<std::uint64_t>, 8> slot{};
+    std::atomic<std::uint64_t> digest{0};
+
+    bool intact() const
+    {
+        const std::uint64_t v0 = slot[0].load(std::memory_order_relaxed);
+        for (std::size_t k = 1; k < slot.size(); ++k)
+            if (slot[k].load(std::memory_order_relaxed) != v0)
+                return false;
+        return true;
+    }
+
+    void rebuild()
+    {
+        const std::uint64_t c = slot[0].load(std::memory_order_relaxed) + 1;
+        slot[0].store(c, std::memory_order_relaxed);
+        std::uint64_t x = c;
+        for (int r = 0; r < 200; ++r) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        digest.store(x, std::memory_order_relaxed);
+        for (std::size_t k = 1; k < slot.size(); ++k)
+            slot[k].store(c, std::memory_order_relaxed);
+    }
+};
+
+/// Native rwlock storm: @p factor threads per CPU run @p iters
+/// operations each on a parking rwlock; operation i of thread t writes
+/// when (i + t) % @p write_period == 0. Writers rebuild the record and
+/// every read checks it, so a reader admitted beside a writer tears it
+/// and two writers inside at once lose a write; a lost wakeup hangs
+/// the join (the canary). Returns the lock's protocol changes.
+template <typename Select, typename WaitPolicy>
+std::uint64_t rw_storm(const ReactiveRwLockParams& params,
+                       WaitPolicy wait_policy, std::uint32_t factor,
+                       int iters, int write_period)
 {
-    // Every waiter parks (forced hint) on its queue lane or the group
-    // lane, and the protocol flips every few writes, so invalidation
-    // walks signal parked queue waiters mid-storm and must wake each
-    // one's lane. A lost lane wake hangs the join.
-    using RW = ReactiveRwLock<NativePlatform, EveryThirdSwitchPolicy,
-                              ParkWaiting, FixedWaitPolicy>;
-    ReactiveRwLockParams params;
-    params.optimistic_simple = false;  // every write consults the policy
+    using RW = ReactiveRwLock<NativePlatform, Select, ParkWaiting, WaitPolicy>;
     RW rw(params);
-    rw.wait_policy() = FixedWaitPolicy(WaitingAlgorithm::always_block());
-    const std::uint32_t threads = storm_threads(4);
-    constexpr int kIters = 250;
-    std::atomic<int> writers_in{0};
-    std::atomic<int> violations{0};
+    rw.wait_policy() = std::move(wait_policy);
+    TornRecord rec;
+    const std::uint32_t threads = storm_threads(factor);
+    std::atomic<int> torn{0};
+    std::atomic<std::uint64_t> writes{0};
     std::atomic<long> ops{0};
     std::vector<std::thread> pool;
     for (std::uint32_t t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
-            for (int i = 0; i < kIters; ++i) {
+            for (int i = 0; i < iters; ++i) {
                 typename RW::Node n;
-                if ((i + static_cast<int>(t)) % 3 == 0) {
+                if ((i + static_cast<int>(t)) % write_period == 0) {
                     rw.lock_write(n);
-                    if (writers_in.fetch_add(1,
-                                             std::memory_order_relaxed) != 0)
-                        violations.fetch_add(1, std::memory_order_relaxed);
-                    writers_in.fetch_sub(1, std::memory_order_relaxed);
+                    rec.rebuild();
                     rw.unlock_write(n);
+                    writes.fetch_add(1, std::memory_order_relaxed);
                 } else {
                     rw.lock_read(n);
-                    if (writers_in.load(std::memory_order_relaxed) != 0)
-                        violations.fetch_add(1, std::memory_order_relaxed);
+                    if (!rec.intact())
+                        torn.fetch_add(1, std::memory_order_relaxed);
                     rw.unlock_read(n);
                 }
                 ops.fetch_add(1, std::memory_order_relaxed);
@@ -1152,10 +1398,57 @@ TEST(ParkWakeStormTest, RwLockProtocolSwitchStormOnLanes)
         });
     }
     for (auto& th : pool)
-        th.join();  // a lost lane wake hangs the join (the canary)
-    EXPECT_EQ(violations.load(), 0);
-    EXPECT_EQ(ops.load(), static_cast<long>(threads) * kIters);
-    EXPECT_GT(rw.protocol_changes(), 10u);
+        th.join();
+    EXPECT_EQ(torn.load(), 0);
+    EXPECT_TRUE(rec.intact());
+    EXPECT_EQ(rec.slot[0].load(), writes.load());  // no write was lost
+    EXPECT_EQ(ops.load(), static_cast<long>(threads) * iters);
+    return rw.protocol_changes();
+}
+
+TEST(ParkWakeStormTest, OversubscribedRwLockStormUnderModeSwitches)
+{
+    rw_storm<AlwaysSwitchPolicy>(ReactiveRwLockParams{}, CyclingWaitPolicy{},
+                                 /*factor=*/4, /*iters=*/250,
+                                 /*write_period=*/4);
+}
+
+/// Every write consults the protocol policy.
+ReactiveRwLockParams pessimistic_params()
+{
+    ReactiveRwLockParams params;
+    params.optimistic_simple = false;
+    return params;
+}
+
+TEST(ParkWakeStormTest, RwLockProtocolSwitchStormOnLanes)
+{
+    // Every waiter parks (forced hint) on its queue lane or the group
+    // lane, and the protocol flips every few writes, so invalidation
+    // walks signal parked queue waiters mid-storm and must wake each
+    // one's lane. A lost lane wake hangs the join.
+    EXPECT_GT(rw_storm<EveryThirdSwitchPolicy>(
+                  pessimistic_params(),
+                  FixedWaitPolicy(WaitingAlgorithm::always_block()),
+                  /*factor=*/4, /*iters=*/250, /*write_period=*/3),
+              10u);
+}
+
+TEST(ParkWakeStormTest, RwLockRecordNeverTears)
+{
+    // The native torn-record hunt: the calibrated policy moves between
+    // spin and parking on real deschedules, the cycling one re-dispatches
+    // waiters into a new mode at every release. Sized to ~0.3 s each
+    // natively: the cycling policy's spin third makes each handoff
+    // wait out scheduler slices, so it runs fewer, less crowded ops.
+    EXPECT_GT(rw_storm<EveryThirdSwitchPolicy>(
+                  pessimistic_params(), CalibratedWaitPolicy{},
+                  /*factor=*/4, /*iters=*/2000, /*write_period=*/4),
+              10u);
+    EXPECT_GT(rw_storm<EveryThirdSwitchPolicy>(
+                  pessimistic_params(), CyclingWaitPolicy{},
+                  /*factor=*/2, /*iters=*/500, /*write_period=*/4),
+              10u);
 }
 
 TEST(ParkWakeStormTest, OversubscribedBarrierStormUnderModeSwitches)
@@ -1163,12 +1456,7 @@ TEST(ParkWakeStormTest, OversubscribedBarrierStormUnderModeSwitches)
     // Small participant count (episodes serialize on the slowest
     // thread) but heavily timeshared: every episode mixes parked and
     // spinning waiters as the hint rotates underneath them.
-    struct NeverPolicy {
-        bool on_tts_acquire(bool) { return false; }
-        bool on_queue_acquire(bool) { return false; }
-        void on_switch() {}
-    };
-    using Bar = ReactiveBarrier<NativePlatform, NeverPolicy,
+    using Bar = ReactiveBarrier<NativePlatform, StayPolicy,
                                 CentralTreeBarrierSet<NativePlatform>,
                                 ParkWaiting, CyclingWaitPolicy>;
     const std::uint32_t threads = 4;

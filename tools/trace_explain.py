@@ -7,7 +7,8 @@ per-object decision narrative: which protocol each object started on,
 every switch with its triggering signal / drift / estimator snapshot,
 probe episodes and their outcomes, every *waiting-mode* switch with
 the estimator snapshot that drove it (hold/block EWMAs, expected
-wait), a park/wake rollup per object, and the per-class metric rollup
+wait; for a spin -> two-phase step also how many releases ago a waiter
+last reported a deschedule), a park/wake rollup per object, and the per-class metric rollup
 the binary embedded under "reactiveMetrics".
 
 `--regret` switches to the decision-audit view: switch, probe and
@@ -60,6 +61,21 @@ WAIT_MODES = {0: "spin", 1: "two_phase", 2: "park"}
 
 def wait_mode(v):
     return WAIT_MODES.get(v, f"mode{v}")
+
+
+# since_deschedule of a gated policy that never received a deschedule
+# report (CalibratedWaitPolicy::kNeverDescheduled). A gated policy
+# counts its own release, so at a switch the value is >= 1; 0 means the
+# policy has no gate.
+NEVER_DESCHEDULED = 0xFFFFFFFF
+
+
+def deschedule_note(v):
+    if not v:
+        return ""
+    if v == NEVER_DESCHEDULED:
+        return " deschedule_report=never"
+    return f" deschedule_report={v} releases ago"
 
 REQUIRED_EVENT_KEYS = ("name", "cat", "ph", "ts", "tid", "args")
 REQUIRED_ARG_KEYS = ("object", "from", "to")
@@ -172,13 +188,17 @@ def explain(events, quiet):
         elif name == "wait_mode_switch":
             # The waiting-axis decision record: the holder's estimator
             # snapshot (hold/block EWMAs, expected wait) and the mode
-            # it chose for the waiters it is about to signal.
+            # it chose for the waiters it is about to signal. Leaving
+            # spin needs a recent deschedule report; say how recent.
+            why = ""
+            if frm == 0 and to == 1:
+                why = deschedule_note(a.get("since_deschedule"))
             timeline[obj].append(
                 f"  t={t}: wait mode {wait_mode(frm)}->{wait_mode(to)} "
                 f"(hold_est={a.get('hold_est', '?')} "
                 f"block_est={a.get('block_est', '?')} "
                 f"expected_wait={a.get('expected_wait', '?')} "
-                f"hint={a.get('hint', '?')})")
+                f"hint={a.get('hint', '?')}{why})")
         elif name == "park":
             w = waits[obj]
             w["parks"] += 1
