@@ -25,6 +25,13 @@
  * load-then-pause loop, no wakes); with a parking site every grant or
  * INVALID store wakes only the lane of the node it lands in, and a
  * node's lane is its queue position (one past its predecessor's).
+ *
+ * A waiter's predicate also loads its own `next` link on every poll
+ * until the successor has linked in (prefetch_successor, wait_site.hpp),
+ * so release finds the successor in its own cache: a handoff pays one
+ * remote transfer, the grant store, instead of the link miss plus the
+ * grant. The load is relaxed and its value discarded; release keeps its
+ * acquire load of the link (DESIGN.md, "Handoff").
  */
 #pragma once
 
@@ -104,7 +111,9 @@ class ReactiveQueue {
         }
         pred->next.store(&node, std::memory_order_release);
         std::uint32_t s = kWaiting;
+        bool linked = false;
         wr = site.await(node.lane.load(std::memory_order_relaxed), [&] {
+            prefetch_successor(node, linked);
             return (s = node.status.load(std::memory_order_acquire)) !=
                    kWaiting;
         });

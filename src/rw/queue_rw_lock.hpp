@@ -43,6 +43,14 @@
  * parks on. A node's lane is its queue position — one past a writer
  * predecessor's, the same as a reader predecessor's, so a reader group
  * shares one lane and a grant to its head wakes the whole group at once.
+ *
+ * Every wait (wait_for_signal) also loads the node's own `next` link on
+ * each poll until the successor has linked in (prefetch_successor,
+ * wait_site.hpp). end_write, end_read and propagate_reader_grant then
+ * read the successor from the waiter's own cache, so a handoff pays one
+ * remote transfer, the grant, instead of the link miss plus the grant.
+ * The load is relaxed and its value discarded; those paths keep their
+ * acquire loads of the link (DESIGN.md, "Handoff").
  */
 #pragma once
 
@@ -576,8 +584,10 @@ class QueueRwLock {
                          bool in_group = false)
     {
         std::uint32_t s = 0;
+        bool linked = false;
         const std::uint32_t lane = node.lane.load(std::memory_order_relaxed);
         const auto signalled = [&] {
+            prefetch_successor(node, linked);
             return ((s = node.state.load(std::memory_order_acquire)) &
                     (kGoBit | kInvalidBit)) != 0;
         };

@@ -128,6 +128,20 @@ constexpr std::uint32_t next_queue_lane(std::uint32_t pred_lane)
 }
 
 /**
+ * Handoff prefetch, called by a queue waiter's predicate on every poll:
+ * loads the waiter's own `next` link until it reads non-null. The
+ * waiter's release then finds its successor in cache instead of paying
+ * that miss between two holders (DESIGN.md, "Handoff"). Relaxed, value
+ * discarded: the releases keep their acquire loads of the link.
+ */
+template <typename Node>
+void prefetch_successor(const Node& node, bool& linked)
+{
+    if (!linked)
+        linked = node.next.load(std::memory_order_relaxed) != nullptr;
+}
+
+/**
  * Empty spin site: no storage, no hint, a plain pause loop. Primitives
  * instantiated with SpinWaiting run their slow-path loops through it,
  * and the queue protocols' and CentralBarrier's plain overloads wait

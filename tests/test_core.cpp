@@ -158,6 +158,41 @@ TEST(ReactiveQueueTest, HolderInvalidateWakesWaitersInvalid)
     EXPECT_TRUE(q->is_invalid());
 }
 
+// Handoff prefetch: P1 waits behind P0 while P2 links in behind P1, so
+// P1's polls pull the successor link into its cache during the wait.
+// P1's release then pays one remote transfer (the grant store into P2's
+// node), not two (the link load plus the grant).
+TEST(ReactiveQueueTest, ReleaseAfterWaitPaysOneRemoteTransfer)
+{
+    using Q = ReactiveQueue<SimPlatform>;
+    sim::Machine m(3);
+    auto q = std::make_shared<Q>(/*initially_valid=*/true);
+    auto release_cycles = std::make_shared<std::uint64_t>(0);
+    m.spawn(0, [=] {
+        typename Q::Node n;
+        EXPECT_EQ(q->acquire(n), Q::Outcome::kAcquiredEmpty);
+        sim::delay(4000);  // P1 queues, then P2 links in behind it
+        q->release(n);
+    });
+    m.spawn(1, [=] {
+        sim::delay(500);
+        typename Q::Node n;
+        EXPECT_EQ(q->acquire(n), Q::Outcome::kAcquiredWaited);
+        const std::uint64_t t0 = sim::now();
+        q->release(n);
+        *release_cycles = sim::now() - t0;
+    });
+    m.spawn(2, [=] {
+        sim::delay(1500);
+        typename Q::Node n;
+        EXPECT_EQ(q->acquire(n), Q::Outcome::kAcquiredWaited);
+        q->release(n);
+    });
+    m.run();
+    EXPECT_GT(*release_cycles, 0u);
+    EXPECT_LT(*release_cycles, 2u * m.costs().remote_miss);
+}
+
 // ---- generic protocol-selection framework -----------------------------
 
 /// Toy protocol for the framework tests: a counter that tags results

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -384,6 +385,70 @@ TEST(NativeCohortTest, ReactiveSwitchStormOverCohortQueue)
         th.join();
     EXPECT_EQ(counter, static_cast<long>(threads) * 300);
     EXPECT_GT(lock.inner().protocol_changes(), 0u);
+}
+
+// ---- native queue-mode handoff storm ----------------------------------
+// A reactive lock pinned in the MCS queue protocol, four threads with no
+// think time: every handoff runs ReactiveQueue's release after a wait
+// that prefetched the successor link. Under TSan this checks the
+// handoff's ordering on real threads; natively the default mutex on
+// three threads hardly ever leaves TTS.
+
+TEST(NativeQueueStormTest, PinnedQueueHandoffKeepsExclusion)
+{
+    struct PinQueuePolicy {
+        bool on_tts_acquire(bool) { return true; }
+        bool on_queue_acquire(bool) { return false; }
+        void on_switch() {}
+    };
+    using RL = ReactiveNodeLock<NativePlatform, PinQueuePolicy>;
+    constexpr std::uint32_t kThreads = 4;
+    constexpr long kIters = 2000;
+    // Every acquisition is observed, so the first release switches to
+    // the queue protocol, and the policy never leaves it.
+    ReactiveLockParams lp;
+    lp.optimistic_tts = false;
+    RL lock{lp};
+    typename RL::Node held;
+    lock.lock(held);
+    lock.unlock(held);
+    ASSERT_EQ(lock.inner().mode(), RL::Inner::Mode::kQueue);
+
+    // A counter pair written only inside the lock: plain memory, so an
+    // overlap shows as a torn pair here and as a data race under TSan.
+    long first = 0;
+    long second = 0;
+    std::atomic<bool> torn{false};
+    std::atomic<std::uint32_t> arrived{0};
+    // The main thread holds the lock until every worker is inside its
+    // first lock(), so the storm starts with a queue four waiters deep.
+    lock.lock(held);
+    std::vector<std::thread> pool;
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&] {
+            for (long i = 0; i < kIters; ++i) {
+                typename RL::Node n;
+                if (i == 0)
+                    arrived.fetch_add(1);
+                lock.lock(n);
+                const long f = ++first;
+                if (second + 1 != f)
+                    torn.store(true);
+                second = f;
+                lock.unlock(n);
+            }
+        });
+    }
+    while (arrived.load() < kThreads)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    lock.unlock(held);
+    for (auto& th : pool)
+        th.join();
+    EXPECT_FALSE(torn.load());
+    EXPECT_EQ(first, static_cast<long>(kThreads) * kIters);
+    EXPECT_EQ(lock.inner().mode(), RL::Inner::Mode::kQueue);
+    EXPECT_EQ(lock.inner().protocol_changes(), 1u);
 }
 
 // Queue locks make waiters spin on their own cache line: under heavy

@@ -447,6 +447,41 @@ TEST(QueueRwFairnessTest, ReaderGroupBatchesBehindWriter)
     EXPECT_EQ(inv->max_concurrent_readers, 4);
 }
 
+// Handoff prefetch, writer to writer: P1 waits behind P0 while P2 links
+// in behind P1, so P1's polls pull the successor link into its cache
+// during the wait. P1's release then pays one remote transfer (the grant
+// into P2's node), not two (the link load plus the grant).
+TEST(QueueRwHandoffTest, WriterReleaseAfterWaitPaysOneRemoteTransfer)
+{
+    using L = QueueRwLock<SimPlatform>;
+    sim::Machine m(3);
+    auto lock = std::make_shared<L>();
+    auto release_cycles = std::make_shared<std::uint64_t>(0);
+    m.spawn(0, [=] {
+        typename L::Node n;
+        EXPECT_EQ(lock->start_write(n), L::Outcome::kAcquiredEmpty);
+        sim::delay(4000);  // P1 queues, then P2 links in behind it
+        lock->end_write(n);
+    });
+    m.spawn(1, [=] {
+        sim::delay(500);
+        typename L::Node n;
+        EXPECT_EQ(lock->start_write(n), L::Outcome::kAcquiredWaited);
+        const std::uint64_t t0 = sim::now();
+        lock->end_write(n);
+        *release_cycles = sim::now() - t0;
+    });
+    m.spawn(2, [=] {
+        sim::delay(1500);
+        typename L::Node n;
+        EXPECT_EQ(lock->start_write(n), L::Outcome::kAcquiredWaited);
+        lock->end_write(n);
+    });
+    m.run();
+    EXPECT_GT(*release_cycles, 0u);
+    EXPECT_LT(*release_cycles, 2u * m.costs().remote_miss);
+}
+
 // ---- queue rwlock try paths (std try_lock facade backing) -------------
 
 // A reader group can drain its queue presence while a member is still
