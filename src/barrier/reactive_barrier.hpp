@@ -54,20 +54,22 @@
  *    ConsensusPoint (core/consensus_point.hpp; DESIGN.md "One consensus
  *    point").
  *
- * Policy interface: the completer classifies the episode into a
- * `ProtocolSignal` — drift +1 (bunched arrivals, or a contended
- * counter RMW on the bottom rung: the current protocol is
- * under-provisioned), drift -1 (straggler-dominated: over-provisioned)
- * — and asks the policy for the next protocol. Binary `SwitchPolicy`
- * policies embed through `SelectAdapter` with their historical
- * observation mapping (a central-mode episode feeds
- * `on_tts_acquire(bunched)`, a top-rung episode feeds
- * `on_queue_acquire(skewed)`), so AlwaysSwitch, Competitive3 and
- * Hysteresis apply to the two-protocol set bit-compatibly, with an
- * episode as the unit of observation. N-protocol sets take a
- * `SelectPolicy` (e.g. CalibratedLadderPolicy, whose measured
- * per-rung episode costs rank protocols the drift signal alone
- * cannot).
+ * Policy interface: the completer classifies the episode into one
+ * `Observation` — drift +1 (bunched arrivals, or a contended counter
+ * RMW on the bottom rung: the current protocol is under-provisioned),
+ * drift -1 (straggler-dominated: over-provisioned), plus the episode's
+ * cost sample when it has one — and asks the policy for the next
+ * protocol. Binary `SwitchPolicy` policies embed through
+ * `SelectAdapter` with their historical observation mapping (a
+ * central-mode episode feeds `on_tts_acquire(bunched)`, a top-rung
+ * episode feeds `on_queue_acquire(skewed)`), so AlwaysSwitch,
+ * Competitive3 and Hysteresis apply to the two-protocol set
+ * bit-compatibly, with an episode as the unit of observation; the
+ * calibrated binary policies map the same way. Every two-protocol
+ * policy declares `kProtocols = 2`, and a three-protocol set rejects
+ * it at compile time. N-protocol sets take an N-ary `SelectPolicy`
+ * (e.g. CalibratedLadderPolicy, whose measured per-rung episode costs
+ * rank protocols the drift signal alone cannot).
  *
  * Calibration (core/cost_model.hpp): with `ReactiveBarrierParams::
  * calibrate` the bunched/contended classification thresholds are
@@ -188,8 +190,8 @@ using CentralTreeBarrierSet =
  * @tparam P          Platform model.
  * @tparam Policy     switching policy: any N-ary `SelectPolicy`, or —
  *                    for two-protocol sets — any binary `SwitchPolicy`
- *                    (embedded via SelectAdapter; shared with the
- *                    reactive mutex/rwlock).
+ *                    (embedded via SelectAdapter) or calibrated binary
+ *                    policy (shared with the reactive mutex/rwlock).
  * @tparam Set        `ProtocolSet` of BarrierProtocolSlot members,
  *                    ordered by scalability (index 0 = low-contention
  *                    protocol).
@@ -210,9 +212,10 @@ class ReactiveBarrier {
     /// Number of protocols in the set.
     static constexpr std::uint32_t kProtocols = Set::kCount;
 
-    static_assert(SelectPolicy<Policy> || kProtocols == 2,
-                  "binary SwitchPolicy policies embed as the two-protocol "
-                  "specialization; N-protocol sets need a SelectPolicy");
+    static_assert(kProtocols == 2 || !requires { Select::kProtocols; },
+                  "two-protocol policies (binary SwitchPolicies, the "
+                  "calibrated binary policies) drive only two-protocol "
+                  "sets; N-protocol sets need an N-ary SelectPolicy");
 
     /**
      * Protocol executing the current episode (exact, not a hint). The
@@ -492,11 +495,11 @@ class ReactiveBarrier {
             }
             sample = spread;
         }
-        const ProtocolSignal sig{m, drift};
+        Observation obs{m, drift};
         // The episode's classified cost sample (no period yet: none).
-        const std::uint32_t next = params_.free_monitoring && sample == 0
-                                       ? cp_.observe(sig)
-                                       : cp_.observe(sig, sample);
+        if (!params_.free_monitoring || sample != 0)
+            obs.cycles = sample;
+        const std::uint32_t next = cp_.observe(obs);
         if (next != m) {
             mode_->store(next, std::memory_order_relaxed);
             // The completer's measurable switching span — from the

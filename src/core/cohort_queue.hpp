@@ -79,20 +79,8 @@ class CohortQueue {
         /// Socket count; waiters name theirs via the platform
         /// (TopologyAwarePlatform; flat platforms all report 0).
         std::uint32_t sockets = 1;
-        /// B: consecutive local grants per global tenancy (the starting
-        /// per-socket budget when auto_budget is on).
+        /// B: consecutive local grants per global tenancy.
         std::uint32_t cohort_limit = 4;
-        /// Auto-size the budget from the depth signal the releasing
-        /// holder reads for free (its local tail vs. the successor it
-        /// just loaded): a deeper-than-one local queue earns the socket
-        /// a longer batch (+1 toward budget_max), a drained one gives
-        /// budget back (-1 toward budget_min). Bounded so the fairness
-        /// proof keeps a small constant: the bound becomes
-        /// (sockets - 1) x (budget_max + 1). Off by default — the
-        /// static-B behavior is unchanged.
-        bool auto_budget = false;
-        std::uint32_t budget_min = 2;
-        std::uint32_t budget_max = 16;
     };
 
     /// Per-acquisition local-queue node; must live from acquire() to
@@ -124,21 +112,8 @@ class CohortQueue {
           sockets_(params.sockets < 1 ? 1 : params.sockets),
           socks_(std::make_unique<CacheAligned<SocketState>[]>(sockets_))
     {
-        if (params_.auto_budget && params_.budget_min < 1)
-            params_.budget_min = 1;
-        if (params_.budget_max < params_.budget_min)
-            params_.budget_max = params_.budget_min;
-        std::uint32_t b = params_.cohort_limit;
-        if (params_.auto_budget) {
-            if (b < params_.budget_min)
-                b = params_.budget_min;
-            if (b > params_.budget_max)
-                b = params_.budget_max;
-        }
-        for (std::uint32_t i = 0; i < sockets_; ++i) {
+        for (std::uint32_t i = 0; i < sockets_; ++i)
             socks_[i]->gnode.socket = i;
-            socks_[i]->budget = b;
-        }
         gtail_.store(initially_valid ? nullptr : invalid_gtail(),
                      std::memory_order_relaxed);
     }
@@ -261,11 +236,9 @@ class CohortQueue {
         // back to this socket. Passing until the local queue drains
         // makes the flat degeneration's per-grant work identical to
         // plain MCS (one next-load + one status store).
-        if (sockets_ == 1 || ss.passes < budget_of(ss)) {
+        if (sockets_ == 1 || ss.passes < params_.cohort_limit) {
             // Cohort pass: lock and global tenancy stay on this socket.
             ++ss.passes;
-            if (params_.auto_budget)
-                resize_budget(ss, succ);
             REACTIVE_TRACE_EVENT(trace::EventType::kCohortGrant,
                                  trace::ObjectClass::kCohort, trace_id_,
                                  static_cast<std::uint8_t>(node.socket),
@@ -402,16 +375,6 @@ class CohortQueue {
 
     std::uint32_t sockets() const { return sockets_; }
     std::uint32_t cohort_limit() const { return params_.cohort_limit; }
-    bool auto_budget() const { return params_.auto_budget; }
-    std::uint32_t budget_max() const { return params_.budget_max; }
-
-    /// Current per-socket budget (== cohort_limit when auto_budget is
-    /// off). In-consensus exact, racy diagnostic elsewhere.
-    std::uint32_t socket_budget(std::uint32_t s) const
-    {
-        return params_.auto_budget ? socks_[s % sockets_]->budget
-                                   : params_.cohort_limit;
-    }
 
     /// Whether this instantiation parks waiters (tests).
     static constexpr bool kParking = WaitSite<P, Waiting>::kParking;
@@ -426,38 +389,15 @@ class CohortQueue {
     /// Per-socket state, one line per socket: the local tail is that
     /// socket's enqueue point, the global node is touched only by the
     /// socket's leader (local leadership serializes it), the pass
-    /// budget only by lock holders, and the waiting site by the
+    /// count only by lock holders, and the waiting site by the
     /// socket's waiters plus whoever grants to them.
     struct SocketState {
         typename P::template Atomic<Node*> tail{nullptr};
         GlobalNode gnode;
         std::uint32_t passes = 0;
-        /// Floating cohort budget (auto_budget); holder-only.
-        std::uint32_t budget = 0;
         /// Socket-local parking point (empty under SpinWaiting).
         [[no_unique_address]] WaitSite<P, Waiting> site;
     };
-
-    /// A cohort pass is the one point where the holder sees the local
-    /// depth for free: it already loaded the successor, and the tail is
-    /// the socket's own line. tail != succ means at least one more
-    /// waiter queued behind the successor — demand justifies a longer
-    /// batch; a drained queue hands budget back. One step per grant,
-    /// clamped, so the fairness constant stays budget_max + 1.
-    void resize_budget(SocketState& ss, Node* succ)
-    {
-        if (ss.tail.load(std::memory_order_relaxed) != succ) {
-            if (ss.budget < params_.budget_max)
-                ++ss.budget;
-        } else if (ss.budget > params_.budget_min) {
-            --ss.budget;
-        }
-    }
-
-    std::uint32_t budget_of(const SocketState& ss) const
-    {
-        return params_.auto_budget ? ss.budget : params_.cohort_limit;
-    }
 
     /// Socket-local wake after a condition-changing store (no-op under
     /// SpinWaiting). The store must precede the call in program order.

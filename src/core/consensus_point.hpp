@@ -13,7 +13,7 @@
  * the step needs beyond the primitive's own protocol words:
  *
  *  - the protocol-selection policy and the change count;
- *  - the socket-of-previous-holder tracker (socket-aware policies);
+ *  - the socket-of-previous-holder tracker (calibrating policies);
  *  - the trace identity, and every acq-sample / episode / switch /
  *    probe / regret / park / wait-mode event;
  *  - the waiting axis: the object-level WaitSite and, under
@@ -23,9 +23,11 @@
  * release ordering; this class never touches simulated shared memory
  * except through the site's hint word in publish_wait. Under
  * SpinWaiting every wait-axis member is empty and every wait-axis call
- * is a no-op. DESIGN.md ("One consensus point") gives the rules: which
- * wins carry a cost sample, why each hook is in consensus, and why the
- * wait-span lane is fed by the lock only.
+ * is a no-op. Each decision shows the policy one `Observation`
+ * (core/policy.hpp); the cost sample and the socket bit in it are filled
+ * only for a calibrating policy. DESIGN.md ("One consensus point") gives
+ * the rules: which wins carry a cost sample, why each hook is in
+ * consensus, and why the wait-span lane is fed by the lock only.
  */
 #pragma once
 
@@ -62,8 +64,8 @@ class ConsensusPoint {
     using Site = WaitSite<P, Waiting>;
     /// Whether slow-path waits may park (ParkWaiting instantiations).
     static constexpr bool kParking = Site::kParking;
-    /// Whether the policy consumes cycle samples (core/cost_model.hpp).
-    /// Only then is any timestamp taken for it.
+    /// Whether the policy consumes cycle samples (core/policy.hpp). Only
+    /// then is any timestamp taken or the socket bit computed for it.
     static constexpr bool kCalibrating = CalibratingSelectPolicy<Select>;
 
     static_assert(SelectPolicy<Select>);
@@ -167,18 +169,18 @@ class ConsensusPoint {
     /**
      * A fast-path or try win on @p protocol: the winner is the new
      * holder, so it is in consensus, but its win says nothing reliable
-     * about contention and is not observed. A fast-path-aware policy
-     * hears a bare won-here note for protocol 0 (the TTS / simple word),
-     * the socket tracker records the new holder, and the hold is
-     * stamped.
+     * about contention and is not observed. A policy with an
+     * `on_tts_fast_acquire()` hook hears a bare won-here note for
+     * protocol 0 (the TTS / simple word), the socket tracker records the
+     * new holder, and the hold is stamped.
      */
     void fast_acquired(std::uint32_t protocol)
     {
-        if constexpr (FastPathAwareSelect<Select>) {
+        if constexpr (requires { select_.on_tts_fast_acquire(); }) {
             if (protocol == 0)
                 select_.on_tts_fast_acquire();
         }
-        if constexpr (kSocketAware)
+        if constexpr (kCalibrating)
             (void)socket_.note_handoff();
         stamp_hold();
         REACTIVE_TRACE_EVENT(trace::EventType::kFastAcquire, cls_, trace_id_,
@@ -245,41 +247,33 @@ class ConsensusPoint {
     }
 
     /**
-     * The slow-path decision: asks the policy for the next protocol
-     * given @p sig, clamps an out-of-range answer to "stay", and traces
-     * the sample, any probe edge and the regret account.
+     * The slow-path decision: shows the policy @p obs, clamps an
+     * out-of-range answer to "stay", and traces the sample, any probe
+     * edge and the regret account.
      *
-     * @p cycles is passed only for clean-class samples (an immediate
-     * win, a win past the retry limit, a queue acquisition, a barrier
-     * episode): a mid-spin win measures waiting, not protocol cost, and
-     * takes the overload without one. A non-calibrating policy never
-     * sees cycles. The new holder's socket is noted either way.
+     * Callers set `obs.cycles` only for clean-class samples (an
+     * immediate win, a win past the retry limit, a queue acquisition, a
+     * barrier episode): a mid-spin win measures waiting, not protocol
+     * cost. A calibrating policy also gets the socket bit, and the new
+     * holder's socket is noted; a non-calibrating policy never sees
+     * cycles.
      */
-    std::uint32_t observe(ProtocolSignal sig,
-                          std::optional<std::uint64_t> cycles = std::nullopt)
+    std::uint32_t observe(Observation obs)
     {
         const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            if (cycles) {
-                if constexpr (kSocketAware)
-                    next = select_.next_protocol(sig, *cycles,
-                                                 socket_.note_handoff());
-                else
-                    next = select_.next_protocol(sig, *cycles);
-            } else {
-                if constexpr (kSocketAware)
-                    (void)socket_.note_handoff();
-                next = select_.next_protocol(sig);
-            }
-        } else {
-            next = select_.next_protocol(sig);
-        }
+        // The trace keeps the caller's sample even where the policy
+        // does not see it.
+        [[maybe_unused]] const std::uint64_t cycles = obs.cycles.value_or(0);
+        if constexpr (kCalibrating)
+            obs.cross = socket_.note_handoff();
+        else
+            obs.cycles.reset();
+        std::uint32_t next = select_.next_protocol(obs);
         if (next >= protocols_)
-            next = sig.protocol;  // a policy bug must not wedge the object
+            next = obs.protocol;  // a policy bug must not wedge the object
         if constexpr (trace::kCompiled) {
             if (trace::enabled()) [[unlikely]]
-                trace_decision(sig, next, cycles.value_or(0), probe);
+                trace_decision(obs, next, cycles, probe);
         }
         return next;
     }
@@ -367,7 +361,7 @@ class ConsensusPoint {
     /**
      * Folds @p ws into the wait policy and publishes the new hint on the
      * site before the release frees the waiters, so they dispatch under
-     * it; a wait-aware protocol policy hears the same signal.
+     * it.
      */
     std::uint32_t publish_wait(const WaitSignal& ws)
     {
@@ -380,8 +374,6 @@ class ConsensusPoint {
             if (new_mode != old_mode)
                 ++wstate_.mode_changes;
             site_.set_hint(h);
-            if constexpr (WaitAwareSelect<Select>)
-                select_.on_wait_signal(ws);
             if constexpr (trace::kCompiled) {
                 if (new_mode != old_mode && trace::enabled()) [[unlikely]]
                     trace_wait_mode(old_mode, new_mode, h);
@@ -394,10 +386,6 @@ class ConsensusPoint {
     }
 
   private:
-    /// Socket-aware policies also receive the socket-of-previous-holder
-    /// bit, splitting their latency classes by handoff locality.
-    static constexpr bool kSocketAware = SocketAwareSelect<Select>;
-
     /// Park-axis holder state; the empty stand-in keeps SpinWaiting
     /// objects free of it.
     struct ParkWaitState {
@@ -411,12 +399,12 @@ class ConsensusPoint {
     /// The decision record: the sample event (kAcqSample, or kEpisode
     /// for a barrier), probe edges, and the regret of the realized cost
     /// against the policy's cheapest estimate. Host memory only.
-    void trace_decision(ProtocolSignal sig, std::uint32_t next,
+    void trace_decision(const Observation& obs, std::uint32_t next,
                         std::uint64_t cycles,
                         const trace::ProbeWatch<Select>& probe)
     {
         const std::uint64_t ts = P::now();
-        const auto from = static_cast<std::uint8_t>(sig.protocol);
+        const auto from = static_cast<std::uint8_t>(obs.protocol);
         const auto to = static_cast<std::uint8_t>(next);
         if (cls_ == trace::ObjectClass::kBarrier)
             trace::emit(trace::EventType::kEpisode, cls_, trace_id_, from,
@@ -424,7 +412,7 @@ class ConsensusPoint {
         else
             trace::emit(trace::EventType::kAcqSample, cls_, trace_id_, from,
                         to, ts, cycles,
-                        trace::pack_signal(sig.protocol, sig.drift));
+                        trace::pack_signal(obs.protocol, obs.drift));
         probe.emit_edges(select_, cls_, trace_id_, from, to, ts);
         if constexpr (kCalibrating) {
             if (cycles == 0)

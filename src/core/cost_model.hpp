@@ -35,19 +35,21 @@
  *  - `CalibratedHysteresisPolicy` derives the streak thresholds x and y
  *    from the same estimator (x ~ switch round trip / TTS residual,
  *    y ~ switch round trip / queue residual — the proportionality the
- *    thesis used to pick Hysteresis(20, 55) in the first place).
+ *    thesis used to pick Hysteresis(20, 55) in the first place). It
+ *    never probes.
  *
- * Both calibrated policies satisfy the `SwitchPolicy` concept unchanged
- * (the bool-only observation methods run the decision logic on current
- * estimates), and additionally satisfy `CalibratingSwitchPolicy`: the
- * reactive primitives detect that refinement with `if constexpr` and
- * pass each slow-path acquisition's measured latency and each switch's
- * measured duration. Plain policies compile to exactly the code they
- * compiled to before — no timestamps are taken for them.
+ * Both calibrated policies are two-protocol `CalibratingSelectPolicy`s
+ * (core/policy.hpp): protocol 0 is TTS, protocol 1 the queue, and each
+ * `Observation` carries the acquisition's measured latency when it is a
+ * clean sample; `on_switch_cycles` carries each switch's measured
+ * duration. The decision logic is the same with or without a sample.
+ * Plain policies compile to exactly the code they compiled to before —
+ * no timestamps are taken for them.
  */
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "core/policy.hpp"
 #include "platform/cache_line.hpp"
@@ -182,10 +184,8 @@ struct SocketSplitStat {
  * holder at release (src/waiting/reactive/): the span it held the
  * object and the advisory count of parked/queued waiters it saw.
  * Consumed by WaitSelectPolicy (waiting/reactive/wait_select.hpp) to
- * pick spin / two-phase / park, and optionally by wait-aware
- * N-protocol selection policies (WaitAwareSelect,
- * core/protocol_set.hpp). Single-writer under the same in-consensus
- * serialization as every other estimator lane.
+ * pick spin / two-phase / park. Single-writer under the same
+ * in-consensus serialization as every other estimator lane.
  */
 struct WaitSignal {
     std::uint64_t hold_cycles = 0;  ///< acquisition -> release span
@@ -196,53 +196,6 @@ struct WaitSignal {
     /// does not supply timestamps (interval probing disabled).
     std::uint64_t now_cycles = 0;
 };
-
-// clang-format off
-/**
- * Refinement of SwitchPolicy for policies that consume runtime cost
- * samples. `on_*_acquire(signal, cycles)` is the observation plus the
- * acquisition's measured latency; `on_switch_cycles` reports the
- * measured duration of the in-consensus part of a protocol change
- * (called after on_switch(), still in consensus).
- */
-template <typename P>
-concept CalibratingSwitchPolicy =
-    SwitchPolicy<P> &&
-    requires(P p, bool b, std::uint64_t c) {
-        { p.on_tts_acquire(b, c) } -> std::same_as<bool>;
-        { p.on_queue_acquire(b, c) } -> std::same_as<bool>;
-        { p.on_switch_cycles(c) } -> std::same_as<void>;
-    };
-
-/**
- * Optional further refinement: policies that want to know about
- * optimistic fast-path wins (a private counter increment by the new
- * holder — in-consensus, traffic-free; see
- * CalibratedCompetitive3Policy::on_tts_fast_acquire).
- */
-template <typename P>
-concept FastPathAwarePolicy =
-    SwitchPolicy<P> &&
-    requires(P p) {
-        { p.on_tts_fast_acquire() } -> std::same_as<void>;
-    };
-
-/**
- * Further refinement of CalibratingSwitchPolicy: the three-argument
- * observations additionally carry the socket-of-previous-holder bit
- * (true = the handoff crossed a socket boundary), routing the sample
- * into the split latency classes (SocketSplitStat). The decision
- * logic is unchanged — the split only sharpens the estimates the
- * existing thresholds are computed from.
- */
-template <typename P>
-concept SocketAwareCalibratingPolicy =
-    CalibratingSwitchPolicy<P> &&
-    requires(P p, bool b, std::uint64_t c, bool x) {
-        { p.on_tts_acquire(b, c, x) } -> std::same_as<bool>;
-        { p.on_queue_acquire(b, c, x) } -> std::same_as<bool>;
-    };
-// clang-format on
 
 /**
  * Per-object estimator of the cost quantities the switching policies
@@ -365,6 +318,16 @@ class alignas(kCacheLineSize) CostEstimator {
         Stat& s = empty ? queue_empty_ : queue_waited_;
         s.update(cycles, params_.ewma_shift, cross);
         queue_overall_.update(cycles, params_.ewma_shift);
+    }
+
+    /// One observation's cycle sample (@p o.cycles must be set), routed
+    /// by protocol (0 = TTS, otherwise the queue) and contention class.
+    void sample(const Observation& o)
+    {
+        if (o.protocol == 0)
+            sample_tts(o.drift > 0, *o.cycles, o.cross);
+        else
+            sample_queue(o.drift < 0, *o.cycles, o.cross);
     }
 
     /// One measured protocol change. The first sample *replaces* the
@@ -532,6 +495,9 @@ class CalibratedCompetitive3Policy {
         std::uint32_t probe_len = 2;
     };
 
+    /// Two-protocol policy: protocol 0 is TTS, protocol 1 the queue.
+    static constexpr std::uint32_t kProtocols = 2;
+
     CalibratedCompetitive3Policy() : CalibratedCompetitive3Policy(Params{})
     {
     }
@@ -546,11 +512,28 @@ class CalibratedCompetitive3Policy {
             params_.probe_len = 2;
     }
 
-    // ---- SwitchPolicy (estimate-only; no sample available) -----------
-
-    bool on_tts_acquire(bool contended) { return tts_step(contended); }
-
-    bool on_queue_acquire(bool empty) { return queue_step(empty); }
+    /**
+     * One observation: drift > 0 on protocol 0 is a contended TTS
+     * acquisition, drift < 0 on protocol 1 an empty-queue one. Callers
+     * attach a cycle sample only when its class is unambiguous (the
+     * reactive lock omits it for slow-path wins that spun below the
+     * retry limit — their latency is waiting, not protocol cost, and
+     * feeding it to the "uncontended" class would poison the
+     * residuals); the decision logic is identical with or without a
+     * sample. The first sample after any protocol change is discarded:
+     * it pays the switch disruption (cold lines, re-routing waiters),
+     * which belongs to the switch cost, not to the protocol's steady
+     * class. The socket bit routes the sample into the split latency
+     * classes; decisions use the blended estimates either way.
+     */
+    std::uint32_t next_protocol(const Observation& o)
+    {
+        if (o.cycles && !std::exchange(skip_next_sample_, false))
+            est_.sample(o);
+        const bool sw = o.protocol == 0 ? tts_step(o.drift > 0)
+                                        : queue_step(o.drift < 0);
+        return sw ? o.protocol ^ 1u : o.protocol;
+    }
 
     void on_switch()
     {
@@ -620,49 +603,6 @@ class CalibratedCompetitive3Policy {
             denom = 1;
         const std::uint64_t f = 1 + fast_home_ / denom;
         return f > kMaxFastFactor ? kMaxFastFactor : f;
-    }
-
-    // ---- CalibratingSwitchPolicy -------------------------------------
-    //
-    // The two-argument observations carry a latency sample. Callers
-    // only pass samples whose class is unambiguous (the reactive lock
-    // omits the sample for slow-path wins that spun below the retry
-    // limit — their latency is waiting, not protocol cost, and feeding
-    // it to the "uncontended" class would poison the residuals); the
-    // decision logic is identical with or without a sample. The first
-    // sample after any protocol change is discarded: it pays the
-    // switch disruption (cold lines, re-routing waiters), which
-    // belongs to the switch cost, not to the protocol's steady class.
-
-    bool on_tts_acquire(bool contended, std::uint64_t cycles)
-    {
-        return on_tts_acquire(contended, cycles, /*cross=*/false);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles)
-    {
-        return on_queue_acquire(empty, cycles, /*cross=*/false);
-    }
-
-    // ---- SocketAwareCalibratingPolicy --------------------------------
-    //
-    // The extra bit routes the sample into the split latency classes;
-    // decisions are computed from the blended estimates either way.
-
-    bool on_tts_acquire(bool contended, std::uint64_t cycles, bool cross)
-    {
-        if (!skip_next_sample_)
-            est_.sample_tts(contended, cycles, cross);
-        skip_next_sample_ = false;
-        return tts_step(contended);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles, bool cross)
-    {
-        if (!skip_next_sample_)
-            est_.sample_queue(empty, cycles, cross);
-        skip_next_sample_ = false;
-        return queue_step(empty);
     }
 
     void on_switch_cycles(std::uint64_t cycles)
@@ -813,22 +753,11 @@ class CalibratedCompetitive3Policy {
  * every decision, clamped to [min_streak, max_streak] so a degenerate
  * estimate can neither pin the policy open nor slam it shut.
  *
- * Historically it never probed, on the argument that hysteresis
- * already embodies deliberate switching inertia and its dormant
- * estimates refresh whenever the protocols genuinely alternate. That
- * argument has a hole: a workload that settles permanently into one
- * home never alternates, so the dormant residual — and therefore the
- * streak threshold guarding the switch *toward* that protocol — is
- * frozen at whatever the estimator last saw, arbitrarily stale.
- * `probe_period != 0` (off by default: decisions are then identical
- * to the historical policy) enables the competitive policy's
- * backed-off refresh probes: every probe_period home acquisitions
- * (doubling after each quiet probe, capped), switch into the dormant
- * protocol for probe_len observed acquisitions purely to refresh its
- * latency classes, then switch straight back. Probes are measurement
- * episodes, not evidence — the streaks neither advance nor reset
- * while probing, and a genuine streak-driven switch resets the
- * backoff (the signals moved).
+ * It never probes, so its dormant estimates refresh only while the
+ * protocols genuinely alternate: a workload that settles into one
+ * protocol for good leaves the dormant residual — and the streak
+ * threshold guarding the switch toward that protocol — at whatever the
+ * estimator last saw, arbitrarily stale.
  */
 class CalibratedHysteresisPolicy {
   public:
@@ -836,99 +765,36 @@ class CalibratedHysteresisPolicy {
         CostEstimator::Params costs{};
         std::uint32_t min_streak = 2;
         std::uint32_t max_streak = 4096;
-        /// Refresh-probe cadence in home-protocol acquisitions; 0
-        /// (default) disables probing — the historical behavior.
-        std::uint32_t probe_period = 0;
-        /// Observed acquisitions a probe spends in the dormant
-        /// protocol before switching back home.
-        std::uint32_t probe_len = 8;
     };
+
+    /// Two-protocol policy: protocol 0 is TTS, protocol 1 the queue.
+    static constexpr std::uint32_t kProtocols = 2;
 
     CalibratedHysteresisPolicy() = default;
     explicit CalibratedHysteresisPolicy(Params p) : params_(p), est_(p.costs)
     {
     }
 
-    // ---- SwitchPolicy ------------------------------------------------
-
-    bool on_tts_acquire(bool contended)
+    /// One observation, mapped and sampled as in
+    /// CalibratedCompetitive3Policy (the first sample after a protocol
+    /// change is discarded); x contended TTS or y empty-queue
+    /// acquisitions in a row switch, any break resets the streak.
+    std::uint32_t next_protocol(const Observation& o)
     {
-        if (probe_ == Probe::kProbing && home_is_queue_)
-            return probe_step();
-        probe_ = Probe::kNone;  // home-mode callback ends any stale probe
-        home_is_queue_ = false;
-        ++acq_since_probe_;
-        if (!contended) {
-            contended_streak_ = 0;
-            return probe_due();
-        }
-        if (++contended_streak_ >= to_queue_streak()) {
-            probe_backoff_ = 0;  // the signals moved: regime shift
-            return true;
-        }
-        return probe_due();
-    }
-
-    bool on_queue_acquire(bool empty)
-    {
-        if (probe_ == Probe::kProbing && !home_is_queue_)
-            return probe_step();
-        probe_ = Probe::kNone;
-        home_is_queue_ = true;
-        ++acq_since_probe_;
-        if (!empty) {
-            empty_streak_ = 0;
-            return probe_due();
-        }
-        if (++empty_streak_ >= to_tts_streak()) {
-            probe_backoff_ = 0;
-            return true;
-        }
-        return probe_due();
+        if (o.cycles && !std::exchange(skip_next_sample_, false))
+            est_.sample(o);
+        const bool sw =
+            o.protocol == 0
+                ? streak(contended_streak_, o.drift > 0, to_queue_streak())
+                : streak(empty_streak_, o.drift < 0, to_tts_streak());
+        return sw ? o.protocol ^ 1u : o.protocol;
     }
 
     void on_switch()
     {
         contended_streak_ = 0;
         empty_streak_ = 0;
-        acq_since_probe_ = 0;
-        probe_acqs_ = 0;
-        probe_ = probe_ == Probe::kPending ? Probe::kProbing : Probe::kNone;
         skip_next_sample_ = true;
-    }
-
-    // ---- CalibratingSwitchPolicy -------------------------------------
-    //
-    // As in the competitive policy, the first sample after a protocol
-    // change pays the switch disruption and is discarded rather than
-    // fed to a steady-state class.
-
-    bool on_tts_acquire(bool contended, std::uint64_t cycles)
-    {
-        return on_tts_acquire(contended, cycles, /*cross=*/false);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles)
-    {
-        return on_queue_acquire(empty, cycles, /*cross=*/false);
-    }
-
-    // ---- SocketAwareCalibratingPolicy --------------------------------
-
-    bool on_tts_acquire(bool contended, std::uint64_t cycles, bool cross)
-    {
-        if (!skip_next_sample_)
-            est_.sample_tts(contended, cycles, cross);
-        skip_next_sample_ = false;
-        return on_tts_acquire(contended);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles, bool cross)
-    {
-        if (!skip_next_sample_)
-            est_.sample_queue(empty, cycles, cross);
-        skip_next_sample_ = false;
-        return on_queue_acquire(empty);
     }
 
     void on_switch_cycles(std::uint64_t cycles)
@@ -950,17 +816,18 @@ class CalibratedHysteresisPolicy {
 
     const CostEstimator& estimator() const { return est_; }
     CostEstimator& estimator() { return est_; }
-    std::uint64_t probes_started() const { return probes_started_; }
-    bool probing() const { return probe_ != Probe::kNone; }
 
   private:
-    enum class Probe : std::uint8_t {
-        kNone,     ///< normal operation in the home protocol
-        kPending,  ///< probe switch requested, waiting for on_switch()
-        kProbing,  ///< sampling the dormant protocol
-    };
-
-    static constexpr std::uint32_t kProbeBackoffCap = 6;
+    /// Extends (on @p hit) or breaks streak @p n; true once it reaches
+    /// @p limit.
+    static bool streak(std::uint32_t& n, bool hit, std::uint32_t limit)
+    {
+        if (!hit) {
+            n = 0;
+            return false;
+        }
+        return ++n >= limit;
+    }
 
     std::uint32_t derive(std::uint64_t residual) const
     {
@@ -972,57 +839,14 @@ class CalibratedHysteresisPolicy {
         return static_cast<std::uint32_t>(x);
     }
 
-    /// One observed acquisition executed in the dormant protocol
-    /// during a probe. The probe only refreshes estimates (the
-    /// sampling overloads already fed the estimator); the streaks are
-    /// untouched — a probe is a measurement episode, not evidence.
-    bool probe_step()
-    {
-        if (++probe_acqs_ < params_.probe_len)
-            return false;
-        probe_ = Probe::kNone;
-        return true;  // switch back home
-    }
-
-    /// Requests a refresh probe once the backed-off period elapses.
-    /// With probe_period == 0 this is constant-false and every
-    /// decision is identical to the historical non-probing policy.
-    bool probe_due()
-    {
-        if (params_.probe_period == 0 ||
-            acq_since_probe_ <
-                (static_cast<std::uint64_t>(params_.probe_period)
-                 << probe_backoff_))
-            return false;
-        probe_ = Probe::kPending;
-        if (probe_backoff_ < kProbeBackoffCap)
-            ++probe_backoff_;
-        ++probes_started_;
-        return true;
-    }
-
     Params params_;
     CostEstimator est_;
-    std::uint64_t acq_since_probe_ = 0;
-    std::uint64_t probes_started_ = 0;
     std::uint32_t contended_streak_ = 0;
     std::uint32_t empty_streak_ = 0;
-    std::uint32_t probe_backoff_ = 0;
-    std::uint32_t probe_acqs_ = 0;
-    Probe probe_ = Probe::kNone;
-    bool home_is_queue_ = false;  ///< inferred from the callbacks
     bool skip_next_sample_ = false;
 };
 
-static_assert(SwitchPolicy<CalibratedCompetitive3Policy>);
-static_assert(SwitchPolicy<CalibratedHysteresisPolicy>);
-static_assert(CalibratingSwitchPolicy<CalibratedCompetitive3Policy>);
-static_assert(CalibratingSwitchPolicy<CalibratedHysteresisPolicy>);
-static_assert(FastPathAwarePolicy<CalibratedCompetitive3Policy>);
-static_assert(!FastPathAwarePolicy<CalibratedHysteresisPolicy>);
-static_assert(!CalibratingSwitchPolicy<Competitive3Policy>);
-static_assert(!CalibratingSwitchPolicy<HysteresisPolicy>);
-static_assert(SocketAwareCalibratingPolicy<CalibratedCompetitive3Policy>);
-static_assert(SocketAwareCalibratingPolicy<CalibratedHysteresisPolicy>);
+static_assert(CalibratingSelectPolicy<CalibratedCompetitive3Policy>);
+static_assert(CalibratingSelectPolicy<CalibratedHysteresisPolicy>);
 
 }  // namespace reactive

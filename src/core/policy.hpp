@@ -1,6 +1,7 @@
 /**
  * @file
- * Protocol-switching policies (thesis Section 3.4).
+ * Protocol-switching policies (thesis Section 3.4) and the three policy
+ * concepts.
  *
  * The reactive algorithms monitor run-time contention while executing a
  * protocol (failed test&set attempts in TTS mode; empty-queue
@@ -22,6 +23,15 @@
  *    consecutive empty-queue acquisitions (queue->TTS); any break
  *    resets the streak.
  *
+ * These three are binary `SwitchPolicy`s, kept in the thesis' own terms.
+ * Every reactive primitive talks to its policy through `SelectPolicy`
+ * instead: one `Observation` per in-consensus acquisition or episode,
+ * answered with the protocol index to run next. `SelectAdapter`
+ * (core/protocol_set.hpp) embeds a binary policy as the two-protocol
+ * case. A `CalibratingSelectPolicy` adds only `on_switch_cycles`; for it
+ * alone the primitives read the clock, so only it ever sees a cost
+ * sample or the socket bit in its observations.
+ *
  * A policy's methods are invoked only by the process currently holding
  * the lock (in-consensus), so policy state needs no synchronization of
  * its own — that is part of the consensus-object design.
@@ -30,11 +40,28 @@
 
 #include <concepts>
 #include <cstdint>
+#include <optional>
 
 namespace reactive {
 
+/**
+ * The one thing a selection policy is shown per decision: which protocol
+ * serviced the request, which direction along the set's scalability
+ * order its contention evidence points, and — for calibrating policies
+ * only — its measured cost and handoff locality.
+ */
+struct Observation {
+    std::uint32_t protocol = 0;  ///< index of the protocol that executed
+    int drift = 0;  ///< +1 under-provisioned, -1 over-provisioned, 0 content
+    /// Measured cost in cycles. Present only for a clean sample (one that
+    /// measures protocol cost, not waiting) shown to a calibrating policy.
+    std::optional<std::uint64_t> cycles{};
+    /// The handoff crossed a socket boundary (calibrating policies only).
+    bool cross = false;
+};
+
 // clang-format off
-/// Policy concept: per-acquisition observations in either protocol.
+/// Binary policy concept: per-acquisition observations in either protocol.
 template <typename P>
 concept SwitchPolicy = requires(P p, bool b) {
     /// Observation in TTS mode; `contended` = this acquisition's failed
@@ -46,6 +73,29 @@ concept SwitchPolicy = requires(P p, bool b) {
     /// Notification that a protocol change was performed.
     { p.on_switch() } -> std::same_as<void>;
 };
+
+/**
+ * Selection policy: `next_protocol` returns the index the object should
+ * run next (== o.protocol means stay); `on_switch` notifies that a
+ * protocol change was performed.
+ */
+template <typename Pol>
+concept SelectPolicy = requires(Pol p, const Observation& o) {
+    { p.next_protocol(o) } -> std::same_as<std::uint32_t>;
+    { p.on_switch() } -> std::same_as<void>;
+};
+
+/**
+ * A selection policy that consumes runtime cost samples: it also hears
+ * the measured in-consensus span of each change (called after
+ * on_switch(), still in consensus). Only for these policies is the clock
+ * read and are `Observation::cycles` and `cross` filled.
+ */
+template <typename Pol>
+concept CalibratingSelectPolicy =
+    SelectPolicy<Pol> && requires(Pol p, std::uint64_t c) {
+        { p.on_switch_cycles(c) } -> std::same_as<void>;
+    };
 // clang-format on
 
 /**

@@ -15,22 +15,26 @@
  *    *mode* of a reactive object becomes a protocol **index** — still
  *    only a hint for locks, still exact for barriers — and the
  *    dispatcher routes each operation to the indexed slot.
- *  - **`SelectPolicy`** replaces the binary `SwitchPolicy`'s
- *    `bool should_switch()` with `next_protocol(signal) -> index`. The
- *    observation is a `ProtocolSignal`: which protocol executed, and
- *    which *direction* along the set's scalability order the
- *    acquisition argues for (`drift`): +1 means the protocol was
- *    under-provisioned for the observed contention (a contended TTS
- *    acquisition, a bunched barrier episode), -1 over-provisioned (an
- *    empty-queue acquisition, a straggler-dominated episode).
- *  - **`SelectAdapter`** embeds every existing binary policy as the
- *    two-protocol specialization: protocol 0 observations map to
- *    `on_tts_acquire(drift > 0)`, protocol 1 to
+ *  - **`SelectPolicy`** (core/policy.hpp) replaces the binary
+ *    `SwitchPolicy`'s `bool should_switch()` with
+ *    `next_protocol(Observation) -> index`. An `Observation` says which
+ *    protocol executed and which *direction* along the set's
+ *    scalability order the acquisition argues for (`drift`): +1 means
+ *    the protocol was under-provisioned for the observed contention (a
+ *    contended TTS acquisition, a bunched barrier episode), -1
+ *    over-provisioned (an empty-queue acquisition, a
+ *    straggler-dominated episode). A calibrating policy's observations
+ *    also carry the clean cost samples and the socket bit.
+ *  - **`SelectAdapter`** embeds the thesis' three estimate-free binary
+ *    policies as the two-protocol specialization: protocol 0
+ *    observations map to `on_tts_acquire(drift > 0)`, protocol 1 to
  *    `on_queue_acquire(drift < 0)`, and "switch" means "the other
  *    index". The call sequence into the wrapped policy is *identical*
  *    to what the primitives made before this generalization, so the
  *    binary policies' decisions — and therefore the deterministic sim
- *    benchmark numbers — are bit-compatible.
+ *    benchmark numbers — are bit-compatible. The calibrated binary
+ *    policies (core/cost_model.hpp) are two-protocol SelectPolicies
+ *    themselves.
  *
  * Two genuinely N-ary policies live here as well:
  *
@@ -72,157 +76,31 @@
 namespace reactive {
 
 /**
- * One per-acquisition observation handed to an N-protocol policy:
- * which protocol serviced the request, and which direction along the
- * set's scalability order the request's contention evidence points.
- */
-struct ProtocolSignal {
-    std::uint32_t protocol = 0;  ///< index of the protocol that executed
-    int drift = 0;  ///< +1 under-provisioned, -1 over-provisioned, 0 content
-};
-
-// clang-format off
-/**
- * N-protocol selection policy: `next_protocol` returns the index the
- * object should run next (== signal.protocol means stay). Methods are
- * invoked only in-consensus, exactly as for the binary SwitchPolicy.
- */
-template <typename Pol>
-concept SelectPolicy = requires(Pol p, ProtocolSignal s) {
-    { p.next_protocol(s) } -> std::same_as<std::uint32_t>;
-    { p.on_switch() } -> std::same_as<void>;
-};
-
-/**
- * Refinement for policies that consume runtime cost samples: the
- * two-argument observation carries the acquisition's measured latency,
- * and `on_switch_cycles` the measured in-consensus span of a change
- * (the N-ary mirror of CalibratingSwitchPolicy).
- */
-template <typename Pol>
-concept CalibratingSelectPolicy =
-    SelectPolicy<Pol> &&
-    requires(Pol p, ProtocolSignal s, std::uint64_t c) {
-        { p.next_protocol(s, c) } -> std::same_as<std::uint32_t>;
-        { p.on_switch_cycles(c) } -> std::same_as<void>;
-    };
-
-/// Select-side mirror of FastPathAwarePolicy (core/cost_model.hpp).
-template <typename Pol>
-concept FastPathAwareSelect = requires(Pol p) {
-    { p.on_tts_fast_acquire() } -> std::same_as<void>;
-};
-
-/**
- * Select-side mirror of SocketAwareCalibratingPolicy: the
- * three-argument observation additionally carries the
- * socket-of-previous-holder bit, routing the cycle sample into split
- * latency populations (SocketSplitStat). Decision logic unchanged.
- */
-template <typename Pol>
-concept SocketAwareSelect =
-    CalibratingSelectPolicy<Pol> &&
-    requires(Pol p, ProtocolSignal s, std::uint64_t c, bool x) {
-        { p.next_protocol(s, c, x) } -> std::same_as<std::uint32_t>;
-    };
-
-/**
- * Select-side waiting-axis observation (src/waiting/reactive/): the
- * departing holder's WaitSignal — hold span and observed queue depth —
- * delivered in-consensus at release. Primitives detect the refinement
- * with `if constexpr` exactly like the calibrating ones; policies
- * without it compile to the code they compiled to before the waiting
- * subsystem existed.
- */
-template <typename Pol>
-concept WaitAwareSelect = requires(Pol p, const WaitSignal& s) {
-    { p.on_wait_signal(s) } -> std::same_as<void>;
-};
-// clang-format on
-
-/**
  * Embeds a binary SwitchPolicy as the two-protocol specialization of
  * SelectPolicy. Protocol 0 plays the TTS role, protocol 1 the queue
  * role; the underlying call sequence is identical to the pre-ProtocolSet
- * primitives', so wrapped policies decide bit-identically. Only valid
- * for two-protocol sets (the primitives static_assert this).
+ * primitives', so wrapped policies decide bit-identically. The wrapped
+ * policies are estimate-free, so the adapter never calibrates and has no
+ * monitoring surface to forward.
  */
 template <SwitchPolicy Policy>
 class SelectAdapter {
   public:
+    /// Only valid for two-protocol sets (ReactiveBarrier asserts it).
+    static constexpr std::uint32_t kProtocols = 2;
+
     SelectAdapter() = default;
     /*implicit*/ SelectAdapter(Policy p) : policy_(std::move(p)) {}
 
-    std::uint32_t next_protocol(ProtocolSignal s)
+    std::uint32_t next_protocol(const Observation& o)
     {
-        const bool sw = s.protocol == 0
-                            ? policy_.on_tts_acquire(s.drift > 0)
-                            : policy_.on_queue_acquire(s.drift < 0);
-        return sw ? (s.protocol ^ 1u) : s.protocol;
-    }
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles)
-        requires CalibratingSwitchPolicy<Policy>
-    {
-        const bool sw = s.protocol == 0
-                            ? policy_.on_tts_acquire(s.drift > 0, cycles)
-                            : policy_.on_queue_acquire(s.drift < 0, cycles);
-        return sw ? (s.protocol ^ 1u) : s.protocol;
-    }
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles,
-                                bool cross)
-        requires SocketAwareCalibratingPolicy<Policy>
-    {
-        const bool sw =
-            s.protocol == 0
-                ? policy_.on_tts_acquire(s.drift > 0, cycles, cross)
-                : policy_.on_queue_acquire(s.drift < 0, cycles, cross);
-        return sw ? (s.protocol ^ 1u) : s.protocol;
+        const bool sw = o.protocol == 0
+                            ? policy_.on_tts_acquire(o.drift > 0)
+                            : policy_.on_queue_acquire(o.drift < 0);
+        return sw ? (o.protocol ^ 1u) : o.protocol;
     }
 
     void on_switch() { policy_.on_switch(); }
-
-    void on_switch_cycles(std::uint64_t cycles)
-        requires CalibratingSwitchPolicy<Policy>
-    {
-        policy_.on_switch_cycles(cycles);
-    }
-
-    void on_tts_fast_acquire()
-        requires FastPathAwarePolicy<Policy>
-    {
-        policy_.on_tts_fast_acquire();
-    }
-
-    /// Monitoring passthroughs (trace/instrument.hpp estimator_pair
-    /// and ProbeWatch, audit::best_alternative): the adapter is
-    /// decision-transparent, so it must be observation-transparent
-    /// too — without these, a wrapped calibrated policy traced as if
-    /// it had no estimator (est=0 switch payloads, no regret samples).
-    decltype(auto) estimator() const
-        requires requires(const Policy& p) { p.estimator(); }
-    {
-        return policy_.estimator();
-    }
-
-    decltype(auto) probing() const
-        requires requires(const Policy& p) { p.probing(); }
-    {
-        return policy_.probing();
-    }
-
-    decltype(auto) probes_started() const
-        requires requires(const Policy& p) { p.probes_started(); }
-    {
-        return policy_.probes_started();
-    }
-
-    decltype(auto) adoptions() const
-        requires requires(const Policy& p) { p.adoptions(); }
-    {
-        return policy_.adoptions();
-    }
 
     Policy& underlying() { return policy_; }
     const Policy& underlying() const { return policy_; }
@@ -336,7 +214,7 @@ void slot_visit(SlotStore<At, S, Rest...>& store, std::uint32_t index,
  * An ordered set of N protocol implementations behind one reactive
  * object. Order is the set's *scalability order* (index 0 = the
  * low-contention protocol, highest index = the most scalable one):
- * `ProtocolSignal::drift` and the ladder policies are defined against
+ * `Observation::drift` and the ladder policies are defined against
  * it. Every slot is constructed from the same constructor arguments
  * (each family fixes a uniform (shape, options) constructor — for
  * barriers, `(participants, BarrierSlotOptions)`).
@@ -414,13 +292,13 @@ class LadderCompetitivePolicy {
     {
     }
 
-    std::uint32_t next_protocol(ProtocolSignal s)
+    std::uint32_t next_protocol(const Observation& o)
     {
         const auto n = static_cast<std::uint32_t>(accounts_.size());
-        const std::uint32_t i = s.protocol < n ? s.protocol : n - 1;
-        if (s.drift > 0 && i + 1 < n)
+        const std::uint32_t i = o.protocol < n ? o.protocol : n - 1;
+        if (o.drift > 0 && i + 1 < n)
             accounts_[i + 1] += params_.residual_up;
-        else if (s.drift < 0 && i > 0)
+        else if (o.drift < 0 && i > 0)
             accounts_[i - 1] += params_.residual_down;
         // Only the adjacent rungs can have just crossed the bar, but
         // scanning keeps the invariant obvious: first full account wins.
@@ -460,7 +338,6 @@ class LadderCompetitivePolicy {
 };
 
 static_assert(SelectPolicy<LadderCompetitivePolicy>);
-static_assert(!CalibratingSelectPolicy<LadderCompetitivePolicy>);
 
 /**
  * Measured N-protocol selection: per-protocol-index cost EWMAs plus
@@ -544,48 +421,29 @@ class CalibratedLadderPolicy {
           age_(n_, 0),
           accounts_(n_, 0),
           bar_shift_(n_, 0),
-          switch_span_(EwmaStat{0}),
-          wait_hold_(0),
-          wait_depth_x16_(0)
+          switch_span_(EwmaStat{0})
     {
         if (params_.probe_len < 2)
             params_.probe_len = 2;  // first probe sample is discarded
     }
 
-    // ---- SelectPolicy (estimate-only; no sample available) -----------
-
-    std::uint32_t next_protocol(ProtocolSignal s)
+    /**
+     * One observation. Its cycle sample, when present, updates the
+     * executing rung's EWMA first — unless it is the first sample since
+     * a protocol change. Per-rung costs are socket-split
+     * (SocketSplitStat): on a multi-socket host each rung's episode cost
+     * has an intra- and a cross-socket-handoff population, and the rung
+     * ranking compares the traffic-mix blends.
+     */
+    std::uint32_t next_protocol(const Observation& o)
     {
-        skip_next_sample_ = false;
-        return step(s);
-    }
-
-    // ---- CalibratingSelectPolicy -------------------------------------
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles)
-    {
-        return next_protocol(s, cycles, /*cross=*/false);
-    }
-
-    // ---- SocketAwareSelect -------------------------------------------
-    //
-    // Per-rung costs are socket-split (SocketSplitStat): on a
-    // multi-socket host each rung's episode cost has an intra- and a
-    // cross-socket-handoff population, and the rung ranking compares
-    // the traffic-mix blends.
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles,
-                                bool cross)
-    {
-        const std::uint32_t i = clamp(s.protocol);
-        if (skip_next_sample_) {
-            skip_next_sample_ = false;
-        } else {
+        if (o.cycles && !std::exchange(skip_next_sample_, false)) {
+            const std::uint32_t i = clamp(o.protocol);
             // First observation replaces the empty seed outright.
-            ewma_[i].observe(cycles, params_.ewma_shift, cross);
+            ewma_[i].observe(*o.cycles, params_.ewma_shift, o.cross);
             age_[i] = 0;
         }
-        return step(s);
+        return step(o);
     }
 
     void on_switch()
@@ -602,28 +460,6 @@ class CalibratedLadderPolicy {
         // policy's switch-cost control surface.
         switch_span_.observe(cycles, params_.ewma_shift);
     }
-
-    // ---- WaitAwareSelect ---------------------------------------------
-    //
-    // The waiting axis shares the holder's release-time observation so
-    // rung selection and wait-mode selection see one in-consensus
-    // sample stream: hold spans and queue depths are protocol-agnostic
-    // load evidence (a deep queue at release is *measured* pressure,
-    // where drift is inferred). The lanes are estimator state exposed
-    // to traces and tests; the rung decision stays drift+latency
-    // driven — the waiting axis must not double-count evidence the
-    // drift accounts already carry.
-
-    void on_wait_signal(const WaitSignal& s)
-    {
-        wait_hold_.observe(s.hold_cycles, params_.ewma_shift);
-        wait_depth_x16_.observe(
-            static_cast<std::uint64_t>(s.queue_depth) * 16,
-            params_.ewma_shift);
-    }
-
-    std::uint64_t wait_hold() const { return wait_hold_.value; }
-    std::uint64_t wait_depth_x16() const { return wait_depth_x16_.value; }
 
     /// Re-sizes the ladder to @p n rungs, resetting the measurement
     /// and probe state (called by the reactive primitives at
@@ -665,9 +501,9 @@ class CalibratedLadderPolicy {
         return i < n_ ? i : n_ - 1;
     }
 
-    std::uint32_t step(ProtocolSignal s)
+    std::uint32_t step(const Observation& o)
     {
-        const std::uint32_t i = clamp(s.protocol);
+        const std::uint32_t i = clamp(o.protocol);
         for (std::uint32_t j = 0; j < n_; ++j)
             ++age_[j];
         if (probe_ == Probe::kPending) {
@@ -687,9 +523,9 @@ class CalibratedLadderPolicy {
             probe_ = Probe::kNone;  // stale probe: the mode moved away
         }
         home_ = i;
-        if (s.drift > 0 && i + 1 < n_)
+        if (o.drift > 0 && i + 1 < n_)
             accounts_[i + 1] += params_.drift_residual;
-        else if (s.drift < 0 && i > 0)
+        else if (o.drift < 0 && i > 0)
             accounts_[i - 1] += params_.drift_residual;
         ++since_probe_;
         // A full account forces an excursion toward the credited rung
@@ -812,8 +648,6 @@ class CalibratedLadderPolicy {
     std::vector<std::uint64_t> accounts_;
     std::vector<std::uint32_t> bar_shift_;
     EwmaStat switch_span_;
-    EwmaStat wait_hold_;       ///< WaitAwareSelect lane: hold spans
-    EwmaStat wait_depth_x16_;  ///< WaitAwareSelect lane: depth x16
     std::uint32_t home_ = 0;
     std::uint32_t probe_target_ = 0;
     std::uint32_t probe_acqs_ = 0;
@@ -826,17 +660,10 @@ class CalibratedLadderPolicy {
     bool skip_next_sample_ = false;
 };
 
-static_assert(SelectPolicy<CalibratedLadderPolicy>);
 static_assert(CalibratingSelectPolicy<CalibratedLadderPolicy>);
-static_assert(WaitAwareSelect<CalibratedLadderPolicy>);
-static_assert(!WaitAwareSelect<LadderCompetitivePolicy>);
 
 // The binary policies embed as two-protocol SelectPolicies.
 static_assert(SelectPolicy<SelectAdapter<AlwaysSwitchPolicy>>);
-static_assert(SelectPolicy<SelectAdapter<Competitive3Policy>>);
-static_assert(CalibratingSelectPolicy<SelectAdapter<CalibratedCompetitive3Policy>>);
-static_assert(FastPathAwareSelect<SelectAdapter<CalibratedCompetitive3Policy>>);
-static_assert(!FastPathAwareSelect<SelectAdapter<HysteresisPolicy>>);
 static_assert(!CalibratingSelectPolicy<SelectAdapter<Competitive3Policy>>);
 
 }  // namespace reactive

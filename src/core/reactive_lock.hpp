@@ -32,13 +32,15 @@
  *    (core/consensus_point.hpp; DESIGN.md "One consensus point").
  *
  * Policy interface: decisions flow through the N-protocol selection
- * framework (core/protocol_set.hpp) — the holder builds a
- * `ProtocolSignal` (mode index + contention drift) and asks the policy
- * for the next protocol. Binary `SwitchPolicy` policies embed through
- * `SelectAdapter` with the identical historical call sequence
- * (`on_tts_acquire(contended)` / `on_queue_acquire(empty)`), so their
- * decisions are bit-compatible with the pre-ProtocolSet lock; `Mode`
- * values are the protocol indices of the lock's two-slot set.
+ * framework (core/protocol_set.hpp) — the holder builds one
+ * `Observation` (mode index, contention drift and, for a clean sample,
+ * the acquisition's cycles) and asks the policy for the next protocol.
+ * Binary `SwitchPolicy` policies embed through `SelectAdapter` with the
+ * identical historical call sequence (`on_tts_acquire(contended)` /
+ * `on_queue_acquire(empty)`), so their decisions are bit-compatible with
+ * the pre-ProtocolSet lock; the calibrated binary policies are
+ * two-protocol SelectPolicies themselves. `Mode` values are the
+ * protocol indices of the lock's two-slot set.
  */
 #pragma once
 
@@ -322,10 +324,10 @@ class ReactiveLock {
         // protocol cost, a past-the-retry-limit win the contended cost.
         // A win that merely spun measures waiting.
         const bool contended = retries > params_.tts_retry_limit;
-        const ProtocolSignal sig{kTtsIndex, contended ? +1 : 0};
-        const std::uint32_t next = contended || polls == 1
-                                       ? cp_.observe(sig, cp_.since(start))
-                                       : cp_.observe(sig);
+        Observation obs{kTtsIndex, contended ? +1 : 0};
+        if (contended || polls == 1)
+            obs.cycles = cp_.since(start);
+        const std::uint32_t next = cp_.observe(obs);
         return next != kTtsIndex ? ReleaseMode::kTtsToQueue
                                  : ReleaseMode::kTts;
     }
@@ -360,7 +362,7 @@ class ReactiveLock {
         const bool empty = oc == Queue::Outcome::kAcquiredEmpty;
         cp_.waited(empty ? AwaitResult{} : wr, Consensus::WaitSpan::kFeed);
         const std::uint32_t next =
-            cp_.observe({kQueueIndex, empty ? -1 : 0}, cp_.since(start));
+            cp_.observe({kQueueIndex, empty ? -1 : 0, cp_.since(start)});
         return next != kQueueIndex ? ReleaseMode::kQueueToTts
                                    : ReleaseMode::kQueue;
     }

@@ -89,10 +89,13 @@ struct ReactiveRwLockParams {
  * queue protocols.
  *
  * Policy decisions flow through the N-protocol selection framework
- * (core/protocol_set.hpp), with the writer-side signals mapped to the
- * two-slot set {simple, queue}: binary SwitchPolicy policies embed via
- * SelectAdapter with their historical call sequence (bit-compatible
- * decisions), and Mode values are the protocol indices.
+ * (core/protocol_set.hpp): each slow-path write shows the policy one
+ * `Observation` over the two-slot set {simple, queue}, with a cycle
+ * sample only when the write's cost is a clean sample. Binary
+ * SwitchPolicy policies embed via SelectAdapter with their historical
+ * call sequence (bit-compatible decisions), the calibrated binary
+ * policies are two-protocol SelectPolicies themselves, and Mode values
+ * are the protocol indices.
  *
  * The second, orthogonal selection axis is *how to wait*
  * (waiting/reactive/): with Waiting = ParkWaiting the slow paths of
@@ -440,10 +443,10 @@ class ReactiveRwLock {
         // Clean samples only (immediate or past the retry limit); a
         // mid-spin win measures waiting, not protocol cost.
         const bool contended = retries > params_.write_retry_limit;
-        const ProtocolSignal sig{kSimpleIndex, contended ? +1 : 0};
-        const std::uint32_t next = contended || retries == 0
-                                       ? cp_.observe(sig, cp_.since(start))
-                                       : cp_.observe(sig);
+        Observation obs{kSimpleIndex, contended ? +1 : 0};
+        if (contended || retries == 0)
+            obs.cycles = cp_.since(start);
+        const std::uint32_t next = cp_.observe(obs);
         return next != kSimpleIndex ? ReleaseMode::kSimpleToQueue
                                     : ReleaseMode::kSimple;
     }
@@ -462,7 +465,7 @@ class ReactiveRwLock {
         cp_.waited(wr);
         const bool empty = outcome == QOutcome::kAcquiredEmpty;
         const std::uint32_t next =
-            cp_.observe({kQueueIndex, empty ? -1 : 0}, cp_.since(start));
+            cp_.observe({kQueueIndex, empty ? -1 : 0, cp_.since(start)});
         return next != kQueueIndex ? ReleaseMode::kQueueToSimple
                                    : ReleaseMode::kQueue;
     }

@@ -12,9 +12,10 @@
  *    (nullopt — no counterfactual, no sample).
  *  - Integration: a calibrated lock run emits regret samples whose
  *    count matches the drop-immune metric shard and whose payloads
- *    satisfy regret == max(0, realized - best). This is also the
- *    regression test for SelectAdapter's monitoring passthrough — a
- *    wrapped calibrated policy must not trace as estimate-free.
+ *    satisfy regret == max(0, realized - best). The calibrated policy
+ *    is the lock's select policy itself (no adapter in between), so
+ *    the meter must see its estimator — it must not trace as
+ *    estimate-free.
  *  - Zero overhead: the same simulated episode stream with audit
  *    runtime-disabled vs enabled produces identical elapsed cycles and
  *    identical machine mem-op counts — the audit-off schedule is
@@ -201,9 +202,9 @@ TEST(AuditIntegrationTest, CalibratedRunMatchesMeterAndEventPayloads)
 
     const audit::Snapshot s = reactive::audit_snapshot();
     const auto& row = s.classes[static_cast<std::size_t>(OC::kLock)];
-    // A wrapped calibrated policy must expose its estimator through
-    // SelectAdapter; zero samples here means the monitoring passthrough
-    // regressed and the whole meter went silently inert.
+    // The consensus point must reach the calibrated policy's
+    // estimator; zero samples here means the meter went silently
+    // inert.
     EXPECT_GT(row.samples, 0u);
     EXPECT_GT(row.realized, 0u);
     EXPECT_GE(row.realized, row.regret);

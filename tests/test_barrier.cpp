@@ -100,7 +100,7 @@ class CycleSelectPolicy {
     {
     }
 
-    std::uint32_t next_protocol(ProtocolSignal s)
+    std::uint32_t next_protocol(const Observation& s)
     {
         if (++n_ % k_ != 0)
             return s.protocol;

@@ -27,17 +27,17 @@ using sim::SimPlatform;
 /// One call a consensus point made into the policy.
 struct Call {
     enum Kind { kObserve, kSwitch, kSwitchCycles, kFast } kind;
-    ProtocolSignal sig{};
+    Observation obs{};                    ///< as shown (kObserve)
     std::uint32_t next = 0;               ///< the answer (kObserve)
-    std::optional<std::uint64_t> cycles;  ///< set by the sample overloads
-    std::optional<bool> cross;            ///< set by the socket overload
+    std::optional<std::uint64_t> cycles;  ///< the span (kSwitchCycles)
 };
 
 /**
  * Recording SelectPolicy. Answers "switch" on every @p period-th
  * observation (0 = never), or always @p fixed when one is given (an
  * out-of-range answer exercises the clamp). The calibrating variant
- * also takes cycle samples and the socket bit.
+ * also hears switch spans, which makes its observations carry cycle
+ * samples and the socket bit.
  */
 template <bool kCalibrating>
 class RecordingSelect {
@@ -48,32 +48,26 @@ class RecordingSelect {
     {
     }
 
-    std::uint32_t next_protocol(ProtocolSignal s)
+    std::uint32_t next_protocol(const Observation& o)
     {
-        return record(s, std::nullopt, std::nullopt);
+        std::uint32_t next = o.protocol;
+        if (fixed_)
+            next = *fixed_;
+        else if (period_ != 0 && ++n_ % period_ == 0)
+            next = o.protocol ^ 1u;
+        calls.push_back({Call::kObserve, o, next, {}});
+        return next;
     }
 
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t c)
-        requires kCalibrating
-    {
-        return record(s, c, std::nullopt);
-    }
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t c, bool x)
-        requires kCalibrating
-    {
-        return record(s, c, x);
-    }
-
-    void on_switch() { calls.push_back({Call::kSwitch, {}, 0, {}, {}}); }
+    void on_switch() { calls.push_back({Call::kSwitch, {}, 0, {}}); }
 
     void on_switch_cycles(std::uint64_t c)
         requires kCalibrating
     {
-        calls.push_back({Call::kSwitchCycles, {}, 0, c, {}});
+        calls.push_back({Call::kSwitchCycles, {}, 0, c});
     }
 
-    void on_tts_fast_acquire() { calls.push_back({Call::kFast, {}, 0, {}, {}}); }
+    void on_tts_fast_acquire() { calls.push_back({Call::kFast, {}, 0, {}}); }
 
     std::vector<Call> observations() const
     {
@@ -95,18 +89,6 @@ class RecordingSelect {
     std::vector<Call> calls;
 
   private:
-    std::uint32_t record(ProtocolSignal s, std::optional<std::uint64_t> c,
-                         std::optional<bool> x)
-    {
-        std::uint32_t next = s.protocol;
-        if (fixed_)
-            next = *fixed_;
-        else if (period_ != 0 && ++n_ % period_ == 0)
-            next = s.protocol ^ 1u;
-        calls.push_back({Call::kObserve, s, next, c, x});
-        return next;
-    }
-
     std::uint32_t period_;
     std::optional<std::uint32_t> fixed_;
     std::uint64_t n_ = 0;
@@ -114,8 +96,7 @@ class RecordingSelect {
 
 using CalRecorder = RecordingSelect<true>;
 using PlainRecorder = RecordingSelect<false>;
-static_assert(SocketAwareSelect<CalRecorder>);
-static_assert(FastPathAwareSelect<CalRecorder>);
+static_assert(CalibratingSelectPolicy<CalRecorder>);
 static_assert(SelectPolicy<PlainRecorder>);
 static_assert(!CalibratingSelectPolicy<PlainRecorder>);
 
@@ -184,8 +165,8 @@ TEST(ConsensusPointTest, RwTryLockWriteNotesTheWritersSocket)
     });
     const std::vector<Call> obs = rw->policy().observations();
     ASSERT_EQ(obs.size(), 2u);
-    ASSERT_TRUE(obs[1].cross.has_value());
-    EXPECT_FALSE(*obs[1].cross)
+    ASSERT_TRUE(obs[1].obs.cycles.has_value());
+    EXPECT_FALSE(obs[1].obs.cross)
         << "the try win must record its writer's socket";
     EXPECT_EQ(rw->policy().count(Call::kFast), 1u);
 }
@@ -207,8 +188,8 @@ TEST(ConsensusPointTest, LockTryAcquireNotesTheHoldersSocket)
     });
     const std::vector<Call> obs = lock->policy().observations();
     ASSERT_EQ(obs.size(), 2u);
-    ASSERT_TRUE(obs[1].cross.has_value());
-    EXPECT_FALSE(*obs[1].cross);
+    ASSERT_TRUE(obs[1].obs.cycles.has_value());
+    EXPECT_FALSE(obs[1].obs.cross);
     EXPECT_EQ(lock->policy().count(Call::kFast), 1u);
 }
 
@@ -221,14 +202,12 @@ TEST(ConsensusPointTest, OnlyCleanTtsWinsCarryACycleSample)
     contend(lock, 6, 25);
     std::size_t immediate = 0, mid_spin = 0, contended = 0;
     for (const Call& c : lock->policy().observations()) {
-        ASSERT_EQ(c.sig.protocol, 0u) << "a non-switching policy stays TTS";
-        // The socket-aware overload runs exactly when a sample does.
-        EXPECT_EQ(c.cycles.has_value(), c.cross.has_value());
-        if (c.sig.drift > 0) {
-            EXPECT_TRUE(c.cycles.has_value())
+        ASSERT_EQ(c.obs.protocol, 0u) << "a non-switching policy stays TTS";
+        if (c.obs.drift > 0) {
+            EXPECT_TRUE(c.obs.cycles.has_value())
                 << "a win past the retry limit is a clean sample";
             ++contended;
-        } else if (c.cycles) {
+        } else if (c.obs.cycles) {
             ++immediate;
         } else {
             ++mid_spin;  // spun, never lost an exchange: waiting, no sample
@@ -251,11 +230,11 @@ TEST(ConsensusPointTest, QueueWinsAlwaysCarryACycleSample)
     ASSERT_EQ(lock->protocol_index(), 1u);
     std::size_t tts = 0, empty = 0, waited = 0;
     for (const Call& c : lock->policy().observations()) {
-        EXPECT_TRUE(c.cycles.has_value());
-        if (c.sig.protocol == 0)
+        EXPECT_TRUE(c.obs.cycles.has_value());
+        if (c.obs.protocol == 0)
             ++tts;
         else
-            (c.sig.drift < 0 ? empty : waited) += 1;
+            (c.obs.drift < 0 ? empty : waited) += 1;
     }
     EXPECT_EQ(tts, 1u);
     EXPECT_GT(empty, 0u);
@@ -270,8 +249,8 @@ TEST(ConsensusPointTest, NonCalibratingPolicyNeverSeesCycles)
     const std::vector<Call> obs = lock->policy().observations();
     EXPECT_EQ(obs.size(), 6u * 25u);
     for (const Call& c : obs) {
-        EXPECT_FALSE(c.cycles.has_value());
-        EXPECT_FALSE(c.cross.has_value());
+        EXPECT_FALSE(c.obs.cycles.has_value());
+        EXPECT_FALSE(c.obs.cross);
     }
 }
 
@@ -287,7 +266,7 @@ void expect_switch_pairs(const RecordingSelect<kCalibrating>& pol,
     ASSERT_GT(changes, 0u);
     std::size_t decided = 0;
     for (const Call& c : pol.observations())
-        decided += c.next != c.sig.protocol;
+        decided += c.next != c.obs.protocol;
     EXPECT_EQ(decided, changes);
     EXPECT_EQ(pol.count(Call::kSwitch), changes);
     EXPECT_EQ(pol.count(Call::kSwitchCycles), kCalibrating ? changes : 0u);

@@ -182,8 +182,7 @@ TEST(SocketSplitTest, LadderRungsSplitBySocketBit)
     CalibratedLadderPolicy pol(pp);
     // Rung 0 samples alternate 100 local / 300 cross.
     for (int i = 0; i < 64; ++i)
-        (void)pol.next_protocol(ProtocolSignal{0, 0}, i % 2 == 0 ? 100 : 300,
-                                i % 2 != 0);
+        (void)pol.next_protocol({0, 0, i % 2 == 0 ? 100 : 300, i % 2 != 0});
     EXPECT_GT(pol.latency(0), 150u);
     EXPECT_LT(pol.latency(0), 250u);
 }
@@ -225,74 +224,11 @@ TEST(CalibratedHysteresisTest, BehavesLikeHysteresisAtDerivedStreaks)
     CalibratedHysteresisPolicy h;
     const std::uint32_t x = h.to_queue_streak();
     for (std::uint32_t i = 0; i + 1 < x; ++i)
-        EXPECT_FALSE(h.on_tts_acquire(true));
-    EXPECT_FALSE(h.on_tts_acquire(false)) << "a break must reset the streak";
+        EXPECT_EQ(h.next_protocol({0, +1}), 0u);
+    EXPECT_EQ(h.next_protocol({0, 0}), 0u) << "a break must reset the streak";
     for (std::uint32_t i = 0; i + 1 < x; ++i)
-        EXPECT_FALSE(h.on_tts_acquire(true));
-    EXPECT_TRUE(h.on_tts_acquire(true));
-}
-
-TEST(CalibratedHysteresisTest, ZeroPeriodNeverProbes)
-{
-    // The default (probe_period = 0) is the historical non-probing
-    // policy: decisions depend on the streaks alone, forever.
-    CalibratedHysteresisPolicy h;
-    for (int i = 0; i < 50000; ++i)
-        EXPECT_FALSE(h.on_tts_acquire(false, 50));
-    EXPECT_EQ(h.probes_started(), 0u);
-}
-
-TEST(CalibratedHysteresisTest, RefreshProbesUnfreezeDormantResiduals)
-{
-    // The staleness hole the flag closes: a policy parked forever in
-    // the TTS home never samples the queue protocol, so the
-    // queue-waited class — and the TTS->queue evidence bar derived
-    // from it — is frozen at its seed no matter how the dormant
-    // protocol's real cost drifts. Here the queue's waited handoffs
-    // have silently become far cheaper than seeded (30 cycles); only
-    // a probe can observe that.
-    CalibratedHysteresisPolicy::Params pp;
-    pp.probe_period = 128;
-    pp.probe_len = 2;
-    CalibratedHysteresisPolicy frozen;  // default: no probes
-    CalibratedHysteresisPolicy probing(pp);
-    const std::uint32_t before = probing.to_queue_streak();
-
-    // Drive the primitive's contract: quiet TTS home traffic; every
-    // "switch now" flips the protocol and notifies. (No
-    // on_switch_cycles: the switch round trip stays at its seed so
-    // the threshold movement isolates the residual refresh.)
-    auto drive = [](CalibratedHysteresisPolicy& h, std::uint64_t n) {
-        bool in_tts = true;
-        std::uint64_t switches = 0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const bool sw = in_tts ? h.on_tts_acquire(false, 50)
-                                   : h.on_queue_acquire(false, 30);
-            if (sw) {
-                h.on_switch();
-                in_tts = !in_tts;
-                ++switches;
-            }
-        }
-        EXPECT_TRUE(in_tts) << "probes must always return home";
-        return switches;
-    };
-    drive(frozen, 100000);
-    const std::uint64_t switches = drive(probing, 100000);
-
-    EXPECT_EQ(frozen.probes_started(), 0u);
-    EXPECT_EQ(frozen.to_queue_streak(), before) << "stale forever";
-
-    // Backoff: periods 128, 256, ..., cap at 128<<6 — ~17 probes in
-    // 100k acquisitions; without backoff it would be ~780.
-    EXPECT_GE(probing.probes_started(), 5u);
-    EXPECT_LE(probing.probes_started(), 20u);
-    EXPECT_EQ(switches, 2 * probing.probes_started())
-        << "every probe is exactly one round trip";
-    // Cheaper queue-waited handoffs grow the contended-TTS residual,
-    // so each contended acquisition is worth more evidence and the
-    // streak needed to leave TTS drops.
-    EXPECT_LT(probing.to_queue_streak(), before);
+        EXPECT_EQ(h.next_protocol({0, +1}), 0u);
+    EXPECT_EQ(h.next_protocol({0, +1}), 1u);
 }
 
 // ---- CalibratedCompetitive3Policy: probing --------------------------
@@ -309,8 +245,9 @@ TEST(CalibratedCompetitive3Test, ReprobeCadenceIsBoundedAndBacksOff)
     bool in_tts = true;
     std::uint64_t switches = 0;
     for (std::uint64_t i = 0; i < 100000; ++i) {
-        const bool sw = in_tts ? p.on_tts_acquire(false, 50)
-                               : p.on_queue_acquire(false, 100);
+        const std::uint32_t cur = in_tts ? 0 : 1;
+        const bool sw =
+            p.next_protocol({cur, 0, in_tts ? 50 : 100}) != cur;
         if (sw) {
             p.on_switch();
             p.on_switch_cycles(100);
@@ -333,7 +270,7 @@ TEST(CalibratedCompetitive3Test, ZeroPeriodDisablesProbing)
     pp.probe_period = 0;
     CalibratedCompetitive3Policy p(pp);
     for (std::uint64_t i = 0; i < 50000; ++i)
-        EXPECT_FALSE(p.on_tts_acquire(false, 50));
+        EXPECT_EQ(p.next_protocol({0, 0, 50}), 0u);
     EXPECT_EQ(p.probes_started(), 0u);
 }
 
@@ -347,7 +284,7 @@ TEST(CalibratedCompetitive3Test, SignalDrivenSwitchUsesMeasuredCosts)
     int n = 0;
     bool switched = false;
     while (!switched && n < 100) {
-        switched = p.on_tts_acquire(true);
+        switched = p.next_protocol({0, +1}) == 1;
         ++n;
     }
     EXPECT_TRUE(switched);

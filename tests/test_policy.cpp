@@ -278,12 +278,12 @@ TEST(CalibratedLadderTest, DriftProbeAdoptsOnMeasuredTie)
     // regime costs the same spread on every rung — the signal is the
     // only discriminator).
     CalibratedLadderPolicy p(measured3());
-    EXPECT_EQ(p.next_protocol({0, +1}, 1000), 0u);
-    EXPECT_EQ(p.next_protocol({0, +1}, 1000), 1u);  // account full: probe
+    EXPECT_EQ(p.next_protocol({0, +1, 1000}), 0u);
+    EXPECT_EQ(p.next_protocol({0, +1, 1000}), 1u);  // account full: probe
     p.on_switch();
     EXPECT_TRUE(p.probing());
-    EXPECT_EQ(p.next_protocol({1, 0}, 5000), 1u);  // discarded cold sample
-    EXPECT_EQ(p.next_protocol({1, 0}, 1010), 1u);  // tie within margin
+    EXPECT_EQ(p.next_protocol({1, 0, 5000}), 1u);  // discarded cold sample
+    EXPECT_EQ(p.next_protocol({1, 0, 1010}), 1u);  // tie within margin
     EXPECT_FALSE(p.probing());
     EXPECT_EQ(p.home(), 1u);
     EXPECT_EQ(p.adoptions(), 1u);
@@ -292,30 +292,33 @@ TEST(CalibratedLadderTest, DriftProbeAdoptsOnMeasuredTie)
 TEST(CalibratedLadderTest, DriftProbeReturnsHomeWhenMeasuredWorse)
 {
     CalibratedLadderPolicy p(measured3());
-    EXPECT_EQ(p.next_protocol({0, +1}, 1000), 0u);
-    EXPECT_EQ(p.next_protocol({0, +1}, 1000), 1u);
+    EXPECT_EQ(p.next_protocol({0, +1, 1000}), 0u);
+    EXPECT_EQ(p.next_protocol({0, +1, 1000}), 1u);
     p.on_switch();
-    EXPECT_EQ(p.next_protocol({1, 0}, 9000), 1u);   // discarded
-    EXPECT_EQ(p.next_protocol({1, 0}, 2000), 0u);   // worse: go home
+    EXPECT_EQ(p.next_protocol({1, 0, 9000}), 1u);   // discarded
+    EXPECT_EQ(p.next_protocol({1, 0, 2000}), 0u);   // worse: go home
     p.on_switch();
     EXPECT_EQ(p.home(), 0u);
     EXPECT_EQ(p.adoptions(), 0u);
     // The failed excursion doubled the destination's evidence bar:
     // the same two drifting observations no longer trigger a probe.
-    EXPECT_EQ(p.next_protocol({0, +1}, 1000), 0u);
-    EXPECT_EQ(p.next_protocol({0, +1}, 1000), 0u);
+    EXPECT_EQ(p.next_protocol({0, +1, 1000}), 0u);
+    EXPECT_EQ(p.next_protocol({0, +1, 1000}), 0u);
 }
 
 TEST(CalibratedLadderTest, FirstSampleAfterSwitchIsDiscarded)
 {
     CalibratedLadderPolicy::Params params = measured3();
     CalibratedLadderPolicy p(params);
-    EXPECT_EQ(p.next_protocol({0, 0}, 700), 0u);
+    EXPECT_EQ(p.next_protocol({0, 0, 700}), 0u);
     EXPECT_EQ(p.latency(0), 700u);
     p.on_switch();  // e.g. an external mode change
-    EXPECT_EQ(p.next_protocol({0, 0}, 100000), 0u);  // cold: discarded
+    // A sample-less observation does not consume the discard: only a
+    // sample can be the cold one.
+    EXPECT_EQ(p.next_protocol({0, 0}), 0u);
+    EXPECT_EQ(p.next_protocol({0, 0, 100000}), 0u);  // cold: discarded
     EXPECT_EQ(p.latency(0), 700u);
-    EXPECT_EQ(p.next_protocol({0, 0}, 700), 0u);
+    EXPECT_EQ(p.next_protocol({0, 0, 700}), 0u);
     EXPECT_EQ(p.latency(0), 700u);
 }
 
