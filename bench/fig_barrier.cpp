@@ -87,18 +87,6 @@ std::uint32_t barrier_episodes(std::uint32_t procs, bool full)
     return 30 * scale;
 }
 
-/// The two-protocol tables measure the thesis-style spread-signal
-/// configuration (their notes price its stamp/min-combine machinery
-/// against ideal); free_monitoring — default-on since the NUMA PR —
-/// would null that comparison, so these rows opt back into the spread
-/// path and stay comparable with their historical numbers.
-ReactiveBarrierParams spread_signal_params()
-{
-    ReactiveBarrierParams p;
-    p.free_monitoring = false;
-    return p;
-}
-
 /// Simulated cycles per episode for one pre-built barrier at one
 /// (regime, procs) point.
 template <typename B>
@@ -119,13 +107,7 @@ template <typename B>
 double sim_cycles_fresh(std::uint32_t procs, bool skewed, bool full,
                         std::uint64_t seed)
 {
-    std::shared_ptr<B> bar;
-    if constexpr (std::is_constructible_v<B, std::uint32_t,
-                                          ReactiveBarrierParams>)
-        bar = std::make_shared<B>(procs, spread_signal_params());
-    else
-        bar = std::make_shared<B>(procs);
-    return sim_cycles_per_episode(std::move(bar), procs,
+    return sim_cycles_per_episode(std::make_shared<B>(procs), procs,
                                   barrier_episodes(procs, full), skewed,
                                   seed);
 }
@@ -162,9 +144,10 @@ void sim_regime_table(const char* title, const char* regime, bool skewed,
     }
     notes.push_back("reactive should track the better protocol on both "
                     "sides; its");
-    notes.push_back("gap to ideal is the arrival-spread monitoring (stamp "
-                    "store +");
-    notes.push_back("min-combine CAS), the barrier's price of adaptivity");
+    notes.push_back("gap to ideal is the switch transient (the episodes "
+                    "run in the");
+    notes.push_back("losing protocol before a change): monitoring itself "
+                    "is free");
     table.emit(&g_records, notes);
 }
 
@@ -180,17 +163,6 @@ CalibratedLadderPolicy::Params ladder3_params()
     p.probe_period = 8;
     p.probe_backoff_cap = 7;
     p.probe_len = 2;
-    return p;
-}
-
-/// Traffic-free monitoring (episode periods + completer streaks): the
-/// reactive barrier then executes the identical shared-memory
-/// operations as the protocol it is parked in, which is what lets it
-/// track the untracked statics within the 10% envelope.
-ReactiveBarrierParams barrier3_barrier_params()
-{
-    ReactiveBarrierParams p;
-    p.free_monitoring = true;
     return p;
 }
 
@@ -237,7 +209,7 @@ void barrier3_table(const char* title, const char* regime, bool skewed,
             std::make_shared<DissemSim>(p), p, episodes, skewed,
             args.seed));
         rows[3].push_back(sim_cycles_per_episode(
-            std::make_shared<Reactive3Sim>(p, barrier3_barrier_params(),
+            std::make_shared<Reactive3Sim>(p, ReactiveBarrierParams{},
                                            CalibratedLadderPolicy(
                                                ladder3_params())),
             p, episodes, skewed, args.seed));
@@ -273,15 +245,7 @@ template <typename B>
 double native_ns_per_episode(std::uint32_t threads, std::uint32_t episodes,
                              std::uint64_t straggle_cycles)
 {
-    auto make = [&] {
-        if constexpr (std::is_constructible_v<B, std::uint32_t,
-                                              ReactiveBarrierParams>)
-            return std::make_shared<B>(threads, spread_signal_params());
-        else
-            return std::make_shared<B>(threads);
-    };
-    auto bar_ptr = make();
-    B& bar = *bar_ptr;
+    B bar(threads);
     std::vector<std::thread> pool;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t t = 0; t < threads; ++t) {
@@ -405,8 +369,7 @@ int main(int argc, char** argv)
                               1000.0,
                           0),
                "-"});
-        auto reactive =
-            std::make_shared<ReactiveBarrierSim>(32, spread_signal_params());
+        auto reactive = std::make_shared<ReactiveBarrierSim>(32);
         t.row({"reactive",
                stats::fmt(apps::run_barrier_phases<ReactiveBarrierSim>(
                               32, phases, eps, 30000, 200, args.seed,
@@ -415,7 +378,7 @@ int main(int argc, char** argv)
                           0),
                std::to_string(reactive->protocol_changes())});
         auto reactive3 = std::make_shared<Reactive3Sim>(
-            32, barrier3_barrier_params(),
+            32, ReactiveBarrierParams{},
             CalibratedLadderPolicy(ladder3_params()));
         t.row({"reactive 3-protocol",
                stats::fmt(apps::run_barrier_phases<Reactive3Sim>(

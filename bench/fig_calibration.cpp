@@ -27,11 +27,11 @@
  * future PRs can diff crossovers mechanically.
  *
  * A second pair of tables repeats the experiment for the reactive
- * barrier (bunched vs. straggler arrivals, calibrated episode-spread
- * thresholds), a third for the reactive rwlock's write-heavy mix, and
- * `--native` adds pinned fixed-thread-pool tables on real hardware
- * (bench/contended_harness.hpp). `--smoke` runs a tiny sim subset for
- * CI.
+ * barrier (bunched vs. straggler arrivals, thresholds calibrated from
+ * the measured counter-RMW floor), a third for the reactive rwlock's
+ * write-heavy mix, and `--native` adds pinned fixed-thread-pool tables
+ * on real hardware (bench/contended_harness.hpp). `--smoke` runs a
+ * tiny sim subset for CI.
  */
 #include <cmath>
 #include <iostream>
@@ -228,22 +228,10 @@ CalibratedCompetitive3Policy::Params barrier_policy_params(
     return p;
 }
 
-/// This figure measures the thesis-style spread-signal configuration
-/// (its calibrated rows re-derive thresholds from measured episode
-/// *spreads*), which free_monitoring — default-on since the NUMA PR —
-/// replaces; every barrier row opts back into the spread path so the
-/// table keeps measuring what its notes describe.
-ReactiveBarrierParams barrier_params_spread()
-{
-    ReactiveBarrierParams p;
-    p.free_monitoring = false;
-    return p;
-}
-
 ReactiveBarrierParams barrier_params_calibrated(std::uint32_t seed_scale_num,
                                                 std::uint32_t seed_scale_den)
 {
-    ReactiveBarrierParams p = barrier_params_spread();
+    ReactiveBarrierParams p;
     p.calibrate = true;
     p.bunched_cycles_per_arrival =
         p.bunched_cycles_per_arrival * seed_scale_num / seed_scale_den;
@@ -289,8 +277,8 @@ void barrier_regime_table(const char* title, const char* regime, bool skewed,
         rows[1].push_back(barrier_cycles_per_episode(
             std::make_shared<TreeSim>(p, 4), p, episodes, skewed, args.seed));
         rows[2].push_back(barrier_cycles_per_episode(
-            std::make_shared<ReactiveBarSim>(p, barrier_params_spread()),
-            p, episodes, skewed, args.seed));
+            std::make_shared<ReactiveBarSim>(p), p, episodes, skewed,
+            args.seed));
         rows[3].push_back(barrier_cycles_per_episode(
             std::make_shared<ReactiveBarCal>(
                 p, barrier_params_calibrated(10, 1),
@@ -313,12 +301,12 @@ void barrier_regime_table(const char* title, const char* regime, bool skewed,
     table.emit(&g_records,
                {"cycles per episode; calibrated rows start from 10x wrong",
                 "threshold and cost seeds and re-derive both from measured",
-                "episode spreads and counter-RMW latencies"});
+                "episode periods and counter-RMW latencies"});
     if (g_check_enabled) {
         // The adaptive baseline is the reactive barrier itself: its gap
-        // to ideal is the monitoring cost (the price of adaptivity,
-        // see fig_barrier); calibration from 10x-wrong seeds must stay
-        // within 10% of the static-threshold reactive barrier.
+        // to ideal is the switch transient (see fig_barrier);
+        // calibration from 10x-wrong seeds must stay within 10% of the
+        // static-threshold reactive barrier.
         g_failures += table.check_tracks(3, table.cells(2), 1.10, names[2]);
         g_failures += table.check_tracks(4, table.cells(2), 1.10, names[2]);
     }
@@ -472,8 +460,8 @@ void native_tables(const BenchArgs& args)
             opt.pin_failures = &pin_failures;
             CentralBarrier<NativePlatform> central(c);
             CombiningTreeBarrier<NativePlatform> tree(c, 4);
-            ReactiveBarrier<NativePlatform> rea(c, barrier_params_spread());
-            ReactiveBarrierParams cal_params = barrier_params_spread();
+            ReactiveBarrier<NativePlatform> rea(c);
+            ReactiveBarrierParams cal_params;
             cal_params.calibrate = true;
             ReactiveBarrier<NativePlatform, CalibratedCompetitive3Policy> cal(
                 c, cal_params,

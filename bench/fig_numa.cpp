@@ -169,7 +169,7 @@ CalibratedLadderPolicy::Params ladder3_params()
 
 ReactiveBarrierParams reactive_topo_params(std::uint32_t sockets)
 {
-    ReactiveBarrierParams p;  // free monitoring (the default)
+    ReactiveBarrierParams p;
     p.sockets = sockets;
     return p;
 }
@@ -208,7 +208,7 @@ void barrier_table(std::uint32_t sockets, const BenchArgs& args)
                                        sockets, episodes, args.seed,
                                        cell_stats(1)));
         rows[2].push_back(barrier_cell(
-            std::make_shared<TreeSim>(p, 4u, false, sockets, 0u), p,
+            std::make_shared<TreeSim>(p, 4u, sockets, 0u), p,
             sockets, episodes, args.seed, cell_stats(2)));
         rows[3].push_back(barrier_cell(std::make_shared<DissemSim>(p), p,
                                        sockets, episodes, args.seed,

@@ -10,10 +10,12 @@
  * imbalanced: worker 0 carries a much larger partition and every
  * episode waits on it, so the cheapest barrier is the one that adds the
  * least latency to the straggler's solo pass — the centralized
- * counter's regime. The reactive barrier watches the arrival spread of
- * each episode and reshapes itself across the phase boundary. Same
- * code, no tuning: "the interface to the application program remains
- * constant" (thesis Section 1.1).
+ * counter's regime. The reactive barrier watches who completes each
+ * episode — a rotating last arrival in balanced phases, worker 0 every
+ * time in imbalanced ones — times each episode's period, and reshapes
+ * itself across the phase boundary. Same code, no tuning: "the
+ * interface to the application program remains constant" (thesis
+ * Section 1.1).
  */
 #include <atomic>
 #include <cstdio>
@@ -62,11 +64,12 @@ int main()
     constexpr std::uint64_t kBalancedWork = 2000;     // TSC cycles
     constexpr std::uint64_t kImbalancedWork = 400000; // worker 0, odd phases
 
-    // Traffic-free monitoring: episode periods rank the three rungs,
-    // completer-identity streaks detect the imbalanced phases — no
-    // TSC-threshold tuning needed beyond the contended-RMW budget.
+    // Traffic-free monitoring: a rotating completer moves the barrier
+    // up, completer-identity streaks detect the imbalanced phases, and
+    // episode periods rank the three rungs. Central mode's other
+    // up-drift signal, a queued counter RMW, is a cycle budget whose
+    // default is sized to the simulator; set a native TSC budget.
     reactive::ReactiveBarrierParams params;
-    params.free_monitoring = true;
     params.contended_rmw_cycles = 2000;  // native TSC budget
     reactive::CalibratedLadderPolicy::Params policy_params;
     policy_params.protocols = 3;

@@ -545,7 +545,7 @@ std::uint64_t run_barrier_uniform(std::uint32_t procs, std::uint32_t episodes,
  * window — so the cheapest protocol is the one with the smallest solo
  * critical path: one RMW + one flip for the centralized counter versus
  * a full climb for the tree. This is the skewed regime of the reactive
- * barrier's arrival-spread signal. (A *rotating* straggler is a
+ * barrier's completer-streak signal. (A *rotating* straggler is a
  * different regime: there the previous episode's wakeup latency lands
  * on the next straggler's critical path, which punishes the central
  * sense line's O(P) refill storm; the correctness tests cover it.)
@@ -582,7 +582,7 @@ std::uint64_t run_barrier_straggler(std::uint32_t procs,
  * `episodes_per_phase` bunched-arrival episodes (tree territory) and
  * straggler episodes (central territory). Neither static protocol is
  * right for both regimes; a reactive barrier must detect each phase
- * change from the arrival-spread signal alone and re-converge — the
+ * change from its episode signals alone and re-converge — the
  * barrier analogue of the time-varying contention experiment
  * (Section 3.7.2).
  */

@@ -11,12 +11,12 @@
  * acquisition cost minus the estimator's cheapest-alternative estimate
  * is accumulated per object as counterfactual regret.
  *
- * Safety argument (same as PR 4's free_monitoring and the PR 6
- * in-consensus emission discipline): regret is recorded only by the
- * process in consensus on the object (lock holder, barrier completer),
- * reuses cost samples and timestamps the caller already took, and
- * touches only host memory — never a simulated memory operation, never
- * a policy input. A sim run with audit off is byte-identical to one
+ * Safety argument (same as the barrier's traffic-free monitoring and
+ * the trace layer's in-consensus emission discipline): regret is
+ * recorded only by the process in consensus on the object (lock
+ * holder, barrier completer), reuses cost samples and timestamps the
+ * caller already took, and touches only host memory — never a
+ * simulated memory operation, never a policy input. A sim run with audit off is byte-identical to one
  * that never compiled this header (proven in-binary by
  * tests/test_audit.cpp and the CI trace job's cmp step).
  *

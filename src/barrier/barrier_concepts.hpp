@@ -41,10 +41,6 @@ concept Barrier = requires(B b, typename B::Node n) {
  * ignore the fields that do not concern them.
  */
 struct BarrierSlotOptions {
-    /// Record the per-episode reactive signals (first-arrival stamps,
-    /// completer arrival latency). Standalone barriers leave this off
-    /// and pay nothing for the hooks.
-    bool track_signals = false;
     /// Arrival fan-in of tree-shaped protocols.
     std::uint32_t fan_in = 4;
     /// Topology-aware placement (tree-shaped protocols): with
@@ -63,8 +59,7 @@ struct BarrierSlotOptions {
  * Outcome of one decomposed arrival — the barrier family's
  * per-acquisition signal (the `ProtocolSlot` signal requirement,
  * core/protocol_set.hpp). `last` elects the episode's consensus
- * process; the stamps are only meaningful on the completer of a
- * signal-tracking slot.
+ * process; `arrive_cycles` is only meaningful on the completer.
  */
 struct BarrierEpisode {
     bool last = false;  ///< this arrival completed the episode
@@ -73,7 +68,6 @@ struct BarrierEpisode {
     /// identity then carries no arrival-order information, and skew
     /// detection falls back to the completer's own arrival latency.
     bool fixed_completer = false;
-    std::uint64_t first_arrival = 0;  ///< episode's first-arrival stamp
     std::uint64_t arrive_cycles = 0;  ///< completer's own arrival latency
 };
 

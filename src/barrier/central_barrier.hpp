@@ -17,13 +17,11 @@
  * wait_episode() / release_episode() (the uniform BarrierProtocolSlot
  * interface) so the reactive barrier can interpose its consensus step
  * between detecting the last arrival and releasing the episode. The
- * protocol also records (opt-in, so the standalone barrier pays
- * nothing) the two contention signals the reactive policy samples:
- * each episode's first arrival deposits a timestamp before its counter
- * decrement (a CAS paid only by the arrivals racing to be first; the
- * decrement's release/acquire chain then publishes it to the
- * completer), and each arrival measures its own counter-RMW latency,
- * which under bunched arrivals includes the directory queueing delay.
+ * decomposition adds no shared-memory operation: the completer's
+ * signals are its own identity (the last arrival) and its own
+ * counter-RMW latency, timed from two local clock reads around the
+ * decrement, so the reactive barrier parked here executes exactly the
+ * standalone barrier's memory operations.
  */
 #pragma once
 
@@ -53,24 +51,17 @@ class CentralBarrier {
         std::uint32_t episode_sense = 0;
     };
 
-    /**
-     * @param participants         fixed episode size.
-     * @param track_first_arrival  stamp each episode's first arrival
-     *                             for the reactive policy (adds one
-     *                             store per episode).
-     */
-    explicit CentralBarrier(std::uint32_t participants,
-                            bool track_first_arrival = false)
-        : participants_(participants), track_(track_first_arrival)
+    /// @param participants fixed episode size.
+    explicit CentralBarrier(std::uint32_t participants)
+        : participants_(participants)
     {
         count_.store(participants, std::memory_order_relaxed);
-        first_stamp_.store(0, std::memory_order_relaxed);
         sense_->store(0, std::memory_order_relaxed);
     }
 
     /// BarrierProtocolSlot construction (core/protocol_set.hpp).
-    CentralBarrier(std::uint32_t participants, BarrierSlotOptions opts)
-        : CentralBarrier(participants, opts.track_signals)
+    CentralBarrier(std::uint32_t participants, BarrierSlotOptions)
+        : CentralBarrier(participants)
     {
     }
 
@@ -91,36 +82,20 @@ class CentralBarrier {
     /// Signals this participant's arrival (flips the node's sense).
     /// `last` in the result means the caller holds the episode
     /// consensus and must eventually call release_episode(); everyone
-    /// else calls wait_episode(). The first-arrival stamp (tracked
-    /// mode) and the caller's counter-RMW latency ride in the result —
-    /// under bunched arrivals the RMW latency includes the directory
-    /// queueing delay, the protocol's contention observation.
+    /// else calls wait_episode(). The caller's counter-RMW latency
+    /// rides in the result — under bunched arrivals the RMW latency
+    /// includes the directory queueing delay, the protocol's
+    /// contention observation.
     BarrierEpisode arrive_only(Node& n)
     {
         BarrierEpisode a;
         n.episode_sense = n.sense;
         n.sense ^= 1u;
         const std::uint64_t t0 = P::now();
-        if (track_ && first_stamp_.load(std::memory_order_relaxed) == 0) {
-            // Unstamped episode: try to be its first arrival (|1 keeps
-            // a cycle-0 stamp distinguishable from "unstamped"). The
-            // CAS is sequenced *before* our fetch_sub, so the counter's
-            // release/acquire RMW chain publishes the stamp to the
-            // completer — depositing after the decrement would leave
-            // the completer free to read a stale stamp on weakly
-            // ordered hardware. Only arrivals that race the very first
-            // one pay the CAS; the rest see a nonzero stamp and skip.
-            std::uint64_t expected = 0;
-            (void)first_stamp_.compare_exchange_strong(
-                expected, t0 | 1, std::memory_order_relaxed,
-                std::memory_order_relaxed);
-        }
         const std::uint32_t prev =
             count_.fetch_sub(1, std::memory_order_acq_rel);
         a.arrive_cycles = P::now() - t0;
         a.last = prev == 1;
-        if (a.last && track_)
-            a.first_arrival = first_stamp_.load(std::memory_order_relaxed);
         return a;
     }
 
@@ -152,19 +127,15 @@ class CentralBarrier {
     /// arriver may call this, after any in-consensus work.
     void release_episode(Node& n)
     {
-        if (track_)
-            first_stamp_.store(0, std::memory_order_relaxed);
         count_.store(participants_, std::memory_order_relaxed);
         sense_->store(n.episode_sense, std::memory_order_release);
     }
 
   private:
     const std::uint32_t participants_;
-    const bool track_;
-    // Counter and stamp share the arrivals' line; the sense word, which
-    // waiters poll, lives on its own mostly-read line (Section 3.2.6).
+    // The counter takes the arrivals; the sense word, which waiters
+    // poll, lives on its own mostly-read line (Section 3.2.6).
     typename P::template Atomic<std::uint32_t> count_{0};
-    typename P::template Atomic<std::uint64_t> first_stamp_{0};
     CacheAligned<typename P::template Atomic<std::uint32_t>> sense_;
 };
 

@@ -21,18 +21,17 @@
  * central sense line.
  *
  * Episode recycling: the last arrival at a node resets the node's
- * counter (and stamp) *before* climbing. This is safe because none of
- * the node's other arrivals can start the next episode until the
- * current one is released, which happens strictly after the climb; the
+ * counter *before* climbing. This is safe because none of the node's
+ * other arrivals can start the next episode until the current one is
+ * released, which happens strictly after the climb; the
  * release/acquire cascade of sense flips then publishes the resets to
  * every participant before its next arrival.
  *
  * Reactive hooks: the root completer is the barrier's natural consensus
- * point. With `track_arrival_spread` enabled, arrivals piggyback a
- * minimum-arrival-timestamp combine up the tree (one extra CAS per node
- * visit, contended by at most k processes), so the completer learns the
- * episode's first-arrival stamp without any global hot line — the
- * signal the reactive barrier's switching policy samples.
+ * point. Its signals are its own identity (under a straggler, the
+ * straggler climbs to the root every episode) and its climb latency,
+ * timed locally, so the climb performs the same memory operations
+ * whether or not a reactive barrier is listening.
  *
  * Topology-aware placement (`BarrierSlotOptions::sockets >= 2`):
  * participants are assigned leaf ids from their own socket's contiguous
@@ -72,7 +71,6 @@ class CombiningTreeBarrier {
     struct alignas(kCacheLineSize) TreeNode {
         // Arrival state: touched by at most fan_in arrivals per episode.
         typename P::template Atomic<std::uint32_t> count{0};
-        typename P::template Atomic<std::uint64_t> min_stamp{0};
         std::uint32_t init_count = 0;
         TreeNode* parent = nullptr;
         // Wakeup state on its own line: waiters poll it while the next
@@ -102,36 +100,28 @@ class CombiningTreeBarrier {
         std::uint32_t depth = 0;
         TreeNode* path[kMaxDepth] = {};
         TreeNode* stop = nullptr;
-        // Episode signals, valid on the completer after arrive_only():
-        std::uint64_t first_arrival = 0;  ///< min arrival stamp (tracked mode)
-        std::uint64_t arrive_cycles = 0;  ///< this process' climb latency
     };
 
     /// BarrierProtocolSlot construction (core/protocol_set.hpp).
     CombiningTreeBarrier(std::uint32_t participants, BarrierSlotOptions opts)
-        : CombiningTreeBarrier(participants, opts.fan_in, opts.track_signals,
-                               opts.sockets, opts.cores_per_socket)
+        : CombiningTreeBarrier(participants, opts.fan_in, opts.sockets,
+                               opts.cores_per_socket)
     {
     }
 
     /**
-     * @param participants         fixed episode size.
-     * @param fan_in               arrivals combined per tree node (>= 2).
-     * @param track_arrival_spread combine first-arrival stamps up the
-     *                             tree for the reactive policy (adds one
-     *                             CAS per node visit).
-     * @param sockets              topology-aware placement when >= 2
-     *                             (see BarrierSlotOptions).
-     * @param cores_per_socket     participants per socket (0 = balanced).
+     * @param participants     fixed episode size.
+     * @param fan_in           arrivals combined per tree node (>= 2).
+     * @param sockets          topology-aware placement when >= 2 (see
+     *                         BarrierSlotOptions).
+     * @param cores_per_socket participants per socket (0 = balanced).
      */
     explicit CombiningTreeBarrier(std::uint32_t participants,
                                   std::uint32_t fan_in = 4,
-                                  bool track_arrival_spread = false,
                                   std::uint32_t sockets = 1,
                                   std::uint32_t cores_per_socket = 0)
         : participants_(participants),
           fan_in_(fan_in < 2 ? 2 : fan_in),
-          track_(track_arrival_spread),
           sockets_(sockets < 1 ? 1
                                : (sockets > participants && participants > 0
                                       ? participants
@@ -170,9 +160,8 @@ class CombiningTreeBarrier {
      * the next episode on the way. `last` in the result means this
      * process completed the episode at the root (it then holds the
      * episode consensus and must eventually call release_episode());
-     * otherwise the caller waits via wait_episode(). The combined
-     * minimum arrival stamp and the completer's climb latency ride in
-     * the result (tracked mode).
+     * otherwise the caller waits via wait_episode(). The completer's
+     * climb latency rides in the result.
      */
     BarrierEpisode arrive_only(Node& n)
     {
@@ -187,35 +176,23 @@ class CombiningTreeBarrier {
         n.sense ^= 1u;
         n.depth = 0;
         const std::uint64_t t0 = P::now();
-        std::uint64_t carry = t0;
         TreeNode* t = &nodes_[leaf_of_[n.id]];
         for (;;) {
-            if (track_)
-                deposit_min(t, carry);
             const std::uint32_t prev =
                 t->count.fetch_sub(1, std::memory_order_acq_rel);
             if (prev != 1) {
                 n.stop = t;
                 return BarrierEpisode{};
             }
-            // Last arrival at this node: collect the combined stamp and
-            // recycle the node before climbing (see file comment).
-            if (track_) {
-                const std::uint64_t m =
-                    t->min_stamp.load(std::memory_order_relaxed);
-                carry = m < carry ? m : carry;
-                t->min_stamp.store(kNoStamp, std::memory_order_relaxed);
-            }
+            // Last arrival at this node: recycle it before climbing
+            // (see file comment).
             t->count.store(t->init_count, std::memory_order_relaxed);
             assert(n.depth < kMaxDepth);
             n.path[n.depth++] = t;
             if (t->parent == nullptr) {
-                n.first_arrival = carry;
-                n.arrive_cycles = P::now() - t0;
                 BarrierEpisode ep;
                 ep.last = true;
-                ep.first_arrival = n.first_arrival;
-                ep.arrive_cycles = n.arrive_cycles;
+                ep.arrive_cycles = P::now() - t0;
                 return ep;
             }
             t = t->parent;
@@ -239,8 +216,6 @@ class CombiningTreeBarrier {
     void release_episode(Node& n) { wake_path(n, n.sense ^ 1u); }
 
   private:
-    static constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
-
     /**
      * Distributes the participant ids over the sockets: contiguous
      * ranges of cores_per_socket ids per socket (balanced when 0),
@@ -383,7 +358,6 @@ class CombiningTreeBarrier {
             TreeNode& t = nodes_[n];
             t.init_count = counts[n];
             t.count.store(t.init_count, std::memory_order_relaxed);
-            t.min_stamp.store(kNoStamp, std::memory_order_relaxed);
             t.sense->store(0, std::memory_order_relaxed);
             t.parent =
                 parent_idx[n] >= 0 ? &nodes_[parent_idx[n]] : nullptr;
@@ -423,17 +397,6 @@ class CombiningTreeBarrier {
         std::abort();  // oversubscribed: every socket range exhausted
     }
 
-    /// Folds @p stamp into the node's episode minimum.
-    static void deposit_min(TreeNode* t, std::uint64_t stamp)
-    {
-        std::uint64_t cur = t->min_stamp.load(std::memory_order_relaxed);
-        while (stamp < cur &&
-               !t->min_stamp.compare_exchange_weak(cur, stamp,
-                                                   std::memory_order_relaxed,
-                                                   std::memory_order_relaxed)) {
-        }
-    }
-
     /// Flips the senses of the nodes this process climbed past, highest
     /// first so the largest waiting subtrees wake earliest.
     void wake_path(Node& n, std::uint32_t my_sense)
@@ -444,7 +407,6 @@ class CombiningTreeBarrier {
 
     const std::uint32_t participants_;
     const std::uint32_t fan_in_;
-    const bool track_;
     const std::uint32_t sockets_;
     std::vector<std::uint32_t> socket_caps_;  ///< participants per socket
     std::vector<std::uint32_t> socket_base_;  ///< first id of each socket

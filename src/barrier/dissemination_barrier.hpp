@@ -44,14 +44,12 @@
  * barrier runs), so the reactive crossover tables compare like with
  * like.
  *
- * Reactive signal hooks mirror the central barrier: with
- * `track_signals` each episode's first arrival CASes a stamp (paid only
- * by the arrivals racing to be first; published to the completer by the
- * flag chain its rounds acquire), and the completer measures its own
- * rounds latency. The completer resets the stamp before the release
- * wave, and every next-episode deposit happens after acquiring that
- * wave, so the stamp discipline is race-free exactly as in the central
- * protocol.
+ * Reactive signal hook: the completer times its own rounds with two
+ * local clock reads. Its rounds wait out every participant it depends
+ * on, so a long rounds latency means a straggler dominated the episode
+ * (the designated completer's skew signal, reactive_barrier.hpp); its
+ * identity is fixed and says nothing, which `fixed_completer` in the
+ * result declares.
  */
 #pragma once
 
@@ -100,20 +98,17 @@ class DisseminationBarrier {
         std::uint64_t episode = 0;  ///< completed-arrival count
     };
 
-    explicit DisseminationBarrier(std::uint32_t participants,
-                                  bool track_signals = false)
+    explicit DisseminationBarrier(std::uint32_t participants)
         : participants_(participants),
           rounds_(rounds_for(participants)),
-          track_(track_signals),
           flags_(static_cast<std::size_t>(participants) * rounds_),
           release_(participants)
     {
-        first_stamp_.store(0, std::memory_order_relaxed);
     }
 
     /// BarrierProtocolSlot construction (core/protocol_set.hpp).
-    DisseminationBarrier(std::uint32_t participants, BarrierSlotOptions opts)
-        : DisseminationBarrier(participants, opts.track_signals)
+    DisseminationBarrier(std::uint32_t participants, BarrierSlotOptions)
+        : DisseminationBarrier(participants)
     {
     }
 
@@ -154,16 +149,6 @@ class DisseminationBarrier {
         }
         const std::uint64_t e = ++n.episode;
         const std::uint64_t t0 = P::now();
-        if (track_ && first_stamp_.load(std::memory_order_relaxed) == 0) {
-            // As in the central barrier: only arrivals racing to be the
-            // episode's first pay the CAS (|1 keeps a cycle-0 stamp
-            // distinguishable from "unstamped"); the flag chain the
-            // completer's rounds acquire publishes the stamp.
-            std::uint64_t expected = 0;
-            (void)first_stamp_.compare_exchange_strong(
-                expected, t0 | 1, std::memory_order_relaxed,
-                std::memory_order_relaxed);
-        }
         for (std::uint32_t r = 0; r < rounds_; ++r) {
             const std::uint32_t partner =
                 (n.id + (1u << r)) % participants_;
@@ -176,12 +161,8 @@ class DisseminationBarrier {
         BarrierEpisode ep;
         ep.last = n.id == 0;
         ep.fixed_completer = true;
-        if (ep.last) {
+        if (ep.last)
             ep.arrive_cycles = P::now() - t0;
-            if (track_)
-                ep.first_arrival =
-                    first_stamp_.load(std::memory_order_relaxed);
-        }
         return ep;
     }
 
@@ -195,15 +176,9 @@ class DisseminationBarrier {
         forward_release(n.id, n.episode);
     }
 
-    /// Completes the episode: re-arms the stamp and starts the release
-    /// wave. Only the designated completer may call this, after any
-    /// in-consensus work.
-    void release_episode(Node& n)
-    {
-        if (track_)
-            first_stamp_.store(0, std::memory_order_relaxed);
-        forward_release(n.id, n.episode);
-    }
+    /// Completes the episode: starts the release wave. Only the
+    /// designated completer may call this, after any in-consensus work.
+    void release_episode(Node& n) { forward_release(n.id, n.episode); }
 
   private:
     static std::uint32_t rounds_for(std::uint32_t participants)
@@ -220,8 +195,8 @@ class DisseminationBarrier {
     }
 
     /// Release stores carry release order so the chain from the
-    /// completer's consensus work (mode store, stamp reset) reaches
-    /// every participant before its next arrival.
+    /// completer's consensus work (the mode store) reaches every
+    /// participant before its next arrival.
     void forward_release(std::uint32_t id, std::uint64_t episode)
     {
         for (std::uint32_t c = kReleaseFanOut * id + 1;
@@ -234,14 +209,12 @@ class DisseminationBarrier {
 
     const std::uint32_t participants_;
     const std::uint32_t rounds_;
-    const bool track_;
     /// flags_[i * rounds + r]: episode count of round-r signals to
     /// participant i; written only by i's fixed round-r partner.
     std::vector<Line> flags_;
     /// release_[i]: episodes released to participant i; written only by
     /// i's parent in the fan-out tree.
     std::vector<Line> release_;
-    typename P::template Atomic<std::uint64_t> first_stamp_{0};
     typename P::template Atomic<std::uint32_t> next_id_{0};
 };
 

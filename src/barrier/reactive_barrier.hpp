@@ -40,29 +40,38 @@
  *    a participant's per-slot state advances exactly once per episode
  *    executed on that slot, uniformly across the participant set.
  *  - **Monitoring rides on arrival** (the analogue of Section 3.2.6):
- *    the completer samples the episode's *arrival spread* — the cycle
- *    gap between the first arrival (stamped for free by the slots: a
- *    single store in the central barrier, a min-combine up the tree,
- *    the same racing CAS in the dissemination protocol) and episode
- *    completion — plus its own arrival latency, which in central mode
- *    measures queueing at the counter's home directory. A small spread
- *    means the participants arrived together and serialization is the
- *    bottleneck (the scalable rungs' regime); a spread of many
- *    thousands of cycles means a straggler dominated and any tree or
- *    round structure is pure overhead (the central regime). The
+ *    the completer classifies its episode from what it already holds
+ *    in consensus, so monitoring adds no shared-memory operation and a
+ *    reactive barrier parked in a protocol executes that static
+ *    protocol's exact memory operations (plus the per-arrival mode
+ *    read). It reads three things. *Who* completed: an elected
+ *    completer is the last arrival, so a completer that differs from
+ *    the previous episode's means the arrivals raced (the scalable
+ *    rungs' regime), while one participant completing several
+ *    episodes running is a straggler dominating them (any tree or
+ *    round structure is then pure overhead: the central regime). *Its
+ *    own arrival latency*: in central mode the counter RMW, which
+ *    measures queueing at the counter's home directory; for a
+ *    designated completer its rounds, which wait out any straggler it
+ *    depends on. *When*: the episode period, the difference of
+ *    consecutive consensus timestamps — the episode's true wall cost,
+ *    taken at the same point of every protocol's episode and so
+ *    comparable across protocols (DESIGN.md, "Completer-measured
+ *    spreads are not comparable across barrier protocols"). The
  *    completer's observe / switch / publish steps are one
  *    ConsensusPoint (core/consensus_point.hpp; DESIGN.md "One consensus
  *    point").
  *
  * Policy interface: the completer classifies the episode into one
- * `Observation` — drift +1 (bunched arrivals, or a contended counter
- * RMW on the bottom rung: the current protocol is under-provisioned),
- * drift -1 (straggler-dominated: over-provisioned), plus the episode's
- * cost sample when it has one — and asks the policy for the next
+ * `Observation` — drift +1 (a rotating completer below the top rung,
+ * or a contended counter RMW on the bottom rung: the current protocol
+ * is under-provisioned), drift -1 (straggler-dominated above the
+ * bottom rung: over-provisioned), plus the episode period as its cost
+ * sample once there is one — and asks the policy for the next
  * protocol. Binary `SwitchPolicy` policies embed through
  * `SelectAdapter` with their historical observation mapping (a
- * central-mode episode feeds `on_tts_acquire(bunched)`, a top-rung
- * episode feeds `on_queue_acquire(skewed)`), so AlwaysSwitch,
+ * central-mode episode feeds `on_tts_acquire(drift > 0)`, a top-rung
+ * episode feeds `on_queue_acquire(drift < 0)`), so AlwaysSwitch,
  * Competitive3 and Hysteresis apply to the two-protocol set
  * bit-compatibly, with an episode as the unit of observation; the
  * calibrated binary policies map the same way. Every two-protocol
@@ -72,13 +81,13 @@
  * rank protocols the drift signal alone cannot).
  *
  * Calibration (core/cost_model.hpp): with `ReactiveBarrierParams::
- * calibrate` the bunched/contended classification thresholds are
- * re-derived each episode from the completer's measured counter-RMW
- * latency (a decaying minimum tracking the uncontended cost) instead
- * of compile-time cycle constants, and a calibrating policy receives
- * each episode's spread as a cost sample — all computed by the
- * completer from timestamps it already holds, so calibration adds no
- * shared-memory traffic.
+ * calibrate` the contended-RMW and designated-completer skew
+ * thresholds are re-derived each episode from the completer's measured
+ * counter-RMW latency (a decaying minimum tracking the uncontended
+ * cost) instead of compile-time cycle constants. A calibrating policy
+ * receives each episode's period as a cost sample either way — all
+ * computed by the completer from timestamps it already holds, so
+ * calibration adds no shared-memory traffic.
  */
 #pragma once
 
@@ -109,26 +118,30 @@ struct ReactiveBarrierParams {
     std::uint32_t sockets = 1;
     /// Participants per socket (0 = balanced, ceil(P / sockets)).
     std::uint32_t cores_per_socket = 0;
-    /// An episode whose arrival spread is below participants * this is
-    /// "bunched": the central counter would serialize the arrivals.
-    /// Sized to a directory-serialized RMW plus slack on the simulated
-    /// machine; on native hardware it is a TSC-cycle budget. With
-    /// `calibrate` set this is only the *seed*: the per-arrival budget
-    /// is re-derived from the measured RMW floor each episode.
+    /// Per-arrival cycle budget of a bunched episode, sized to a
+    /// directory-serialized RMW plus slack on the simulated machine
+    /// (on native hardware a TSC-cycle budget). It sets the designated
+    /// completer's skew test (below) and seeds the calibrated RMW
+    /// floor (this / bunched_rmw_multiple).
     std::uint32_t bunched_cycles_per_arrival = 150;
-    /// An episode whose spread exceeds the bunched threshold times this
-    /// is "skewed": a straggler dominates and the tree buys nothing.
+    /// A designated completer whose own rounds took longer than
+    /// participants * the bunched budget * this waited out a straggler:
+    /// the episode is "skewed" and a scalable rung buys nothing.
     std::uint32_t skew_factor = 4;
     /// A completer whose own counter RMW took this long observed
-    /// directory queueing directly (central mode's second signal).
-    /// Seed only when `calibrate` is set, like the bunched budget.
+    /// directory queueing directly (central mode's second up-drift
+    /// signal, beside a rotating completer). Sized in simulated cycles,
+    /// where it never fires alone; on native threads it is compared
+    /// with TSC cycles and fires far more often than the completer
+    /// rotates (DESIGN.md). Seed only when `calibrate` is set.
     std::uint32_t contended_rmw_cycles = 400;
-    /// Derive the bunched/contended thresholds at run time from the
-    /// completer's measured counter-RMW latency instead of the cycle
-    /// constants above. The constants then act as seeds: the initial
-    /// RMW floor is bunched_cycles_per_arrival / bunched_rmw_multiple,
-    /// so a calibrated barrier starts numerically identical to a
-    /// static one and adapts from the first central episode onward.
+    /// Derive the bunched budget and the contended-RMW threshold at run
+    /// time from the completer's measured counter-RMW latency instead
+    /// of the cycle constants above. The constants then act as seeds:
+    /// the initial RMW floor is bunched_cycles_per_arrival /
+    /// bunched_rmw_multiple, so a calibrated barrier starts numerically
+    /// identical to a static one and adapts from the first central
+    /// episode onward.
     bool calibrate = false;
     /// Bunched budget per arrival = this many uncontended RMWs (the
     /// slack over the raw serialization cost; 3 * 50 = the static 150).
@@ -136,34 +149,8 @@ struct ReactiveBarrierParams {
     /// A completer RMW at or above this many uncontended RMWs observed
     /// directory queueing (8 * 50 = the static 400).
     std::uint32_t contended_rmw_multiple = 8;
-    /**
-     * Traffic-free monitoring: drop the arrival-spread machinery (the
-     * first-arrival stamp CAS, the min-combine up the tree) and drive
-     * the policy purely from quantities the completer owns anyway —
-     * the episode *period* (difference of consecutive consensus
-     * timestamps; the true wall cost per episode, and unlike the
-     * spread directly comparable across protocols) as the cost
-     * sample, completer-identity streaks for skew detection (a
-     * straggler completes every episode it dominates; in-consensus
-     * state only), and the completer's own arrival latency (central's
-     * directory-queueing signal; the designated completer's
-     * straggler-wait signal). Slots are then constructed with signal
-     * tracking off, so the reactive barrier executes the *identical
-     * shared-memory operations* as the static protocol it is parked
-     * in — monitoring cost measured in the fig_barrier tables drops
-     * from up to ~40% of a short bunched episode to zero. **Default
-     * on** since the NUMA PR (the spread machinery measurably costs up
-     * to ~40% of a short bunched episode; see DESIGN.md): a parked
-     * reactive barrier executes the static protocol's exact memory
-     * operations, asserted by a mem-op-count regression test. The
-     * spread path stays available behind `= false` as the thesis-style
-     * signal for one deprecation PR; fig_barrier's two-protocol tables
-     * opt back into it to stay comparable with their historical
-     * numbers.
-     */
-    bool free_monitoring = true;
     /// Consecutive episodes completed by the same participant that
-    /// classify the regime as straggler-dominated (free monitoring).
+    /// classify the regime as straggler-dominated.
     std::uint32_t skew_completer_streak = 3;
 };
 
@@ -251,8 +238,7 @@ class ReactiveBarrier {
     ReactiveBarrier(std::uint32_t participants, ReactiveBarrierParams params,
                     Policy policy = Policy{})
         : set_(participants,
-               BarrierSlotOptions{/*track_signals=*/!params.free_monitoring,
-                                  /*fan_in=*/params.fan_in,
+               BarrierSlotOptions{/*fan_in=*/params.fan_in,
                                   /*sockets=*/params.sockets,
                                   /*cores_per_socket=*/
                                   params.cores_per_socket}),
@@ -401,9 +387,8 @@ class ReactiveBarrier {
         const std::uint64_t end = P::now();
         // Classification thresholds: static cycle constants, or (with
         // calibrate) re-derived each episode from the measured RMW
-        // floor — the episode-spread distribution's natural unit is
-        // "uncontended counter RMWs", which the completer measures for
-        // free on the bottom rung.
+        // floor — "uncontended counter RMWs", which the completer
+        // measures for free on the bottom rung.
         std::uint64_t per_arrival = params_.bunched_cycles_per_arrival;
         std::uint64_t contended_rmw = params_.contended_rmw_cycles;
         if (params_.calibrate) {
@@ -416,89 +401,54 @@ class ReactiveBarrier {
                                 params_.contended_rmw_multiple) *
                             rmw_floor_;
         }
-        const std::uint64_t bunched_threshold = per_arrival * participants_;
-        // Drift along the set's scalability order: the bottom rung's
-        // under-provisioning signals are bunched arrivals or direct
-        // directory queueing at its counter; higher rungs are
-        // over-provisioned when a straggler dominates (skewed) and
-        // under-provisioned when arrivals stay bunched and a more
-        // scalable rung exists above.
-        int drift = 0;
-        std::uint64_t sample = 0;
-        if (params_.free_monitoring) {
-            // Traffic-free signals (see ReactiveBarrierParams): the
-            // straggler regime is read off completer-identity streaks
-            // — the dominated episodes are completed by the straggler
-            // itself, every time — or, for a designated completer, off
-            // its own arrival latency (it sat inside its rounds
-            // waiting out the straggle window). The cost sample is the
-            // episode period: the difference of consecutive consensus
-            // timestamps, i.e. the true wall cost of an episode, which
-            // unlike the spread needs no stamps and compares across
-            // protocols.
-            bool skewed;
-            bool rotating = false;
-            if (ep.fixed_completer) {
-                // The designated completer's own rounds wait out any
-                // straggler it depends on, so its arrival latency is
-                // the skew signal. Known blind spot: if the straggler
-                // *is* the designated completer (ids are assigned by
-                // first-arrival race, so probability ~1/P per run),
-                // its own rounds finish instantly and skew goes
-                // undetected — the barrier then idles in this rung
-                // through the straggler regime, paying the rung's
-                // O(log P) structure (a small constant against the
-                // straggle window) until the regime changes.
-                skewed = ep.arrive_cycles >=
-                         bunched_threshold * params_.skew_factor;
-            } else {
-                completer_streak_ =
-                    completer == prev_completer_ ? completer_streak_ + 1 : 1;
-                prev_completer_ = completer;
-                skewed = completer_streak_ >= params_.skew_completer_streak;
-                // A completer that changed is weak bunched evidence
-                // (arrivals raced); it gates the up-drift so a policy
-                // that commits on drift alone cannot ratchet to the
-                // top rung through signal-free episodes. Measured
-                // policies (the intended pairing for free monitoring)
-                // treat drift only as probe scheduling either way.
-                rotating = completer_streak_ == 1;
-            }
-            if (m == 0)
-                drift = ep.arrive_cycles >= contended_rmw ? +1 : 0;
-            else if (skewed)
-                drift = -1;
-            else if (rotating && m + 1 < kProtocols)
-                drift = +1;
-            sample = prev_end_ != 0 && end > prev_end_ ? end - prev_end_ : 0;
-            prev_end_ = end;
+        bool skewed = false;
+        bool rotating = false;
+        if (ep.fixed_completer) {
+            // The designated completer's own rounds wait out any
+            // straggler it depends on, so its arrival latency is the
+            // skew signal. Known blind spot: if the straggler *is* the
+            // designated completer (ids are assigned by first-arrival
+            // race, so probability ~1/P per run), its own rounds finish
+            // instantly and skew goes undetected — the barrier then
+            // idles in this rung through the straggler regime, paying
+            // the rung's O(log P) structure (a small constant against
+            // the straggle window) until the regime changes.
+            skewed = ep.arrive_cycles >= per_arrival * participants_ *
+                                             params_.skew_factor;
         } else {
-            // Thesis-style spread signals: the gap between the
-            // episode's first arrival (stamped by the slots) and its
-            // completion. Calibrating policies also receive the spread
-            // as this episode's cost sample: under a steady workload
-            // the spread is the protocol-dependent part of the
-            // episode's critical path.
-            const std::uint64_t spread =
-                end > ep.first_arrival ? end - ep.first_arrival : 0;
-            const bool bunched = spread <= bunched_threshold;
-            if (m == 0) {
-                drift = (bunched || ep.arrive_cycles >= contended_rmw) ? +1
-                                                                       : 0;
-            } else {
-                const bool skewed =
-                    spread >= bunched_threshold * params_.skew_factor;
-                if (skewed)
-                    drift = -1;
-                else if (bunched && m + 1 < kProtocols)
-                    drift = +1;
-            }
-            sample = spread;
+            // An elected completer is the episode's last arrival: a
+            // straggler completes every episode it dominates, while
+            // arrivals that race hand the completion around. The first
+            // episode has no previous completer to differ from.
+            rotating =
+                prev_completer_ != nullptr && completer != prev_completer_;
+            completer_streak_ =
+                completer == prev_completer_ ? completer_streak_ + 1 : 1;
+            prev_completer_ = completer;
+            skewed = completer_streak_ >= params_.skew_completer_streak;
         }
+        // Drift along the set's scalability order. Under-provisioned: a
+        // counter RMW that queued at its home directory (bottom rung),
+        // or a rotating completer on any rung with a rung above it —
+        // the arrivals raced to the end. Over-provisioned: a straggler
+        // dominates a scalable rung. Gating the up-drift on rotation
+        // keeps a policy that commits on drift alone from climbing
+        // through episodes that carry neither signal.
+        int drift = 0;
+        if (m == 0 && ep.arrive_cycles >= contended_rmw)
+            drift = +1;
+        else if (m > 0 && skewed)
+            drift = -1;
+        else if (rotating && m + 1 < kProtocols)
+            drift = +1;
+        // The cost sample is the episode period: the difference of
+        // consecutive consensus timestamps, i.e. the true wall cost of
+        // an episode, comparable across protocols (none yet on the
+        // first episode).
         Observation obs{m, drift};
-        // The episode's classified cost sample (no period yet: none).
-        if (!params_.free_monitoring || sample != 0)
-            obs.cycles = sample;
+        if (prev_end_ != 0 && end > prev_end_)
+            obs.cycles = end - prev_end_;
+        prev_end_ = end;
         const std::uint32_t next = cp_.observe(obs);
         if (next != m) {
             mode_->store(next, std::memory_order_relaxed);
@@ -543,7 +493,7 @@ class ReactiveBarrier {
     std::uint64_t rmw_floor_;             // mutated in-consensus only
     std::uint32_t floor_samples_ = 0;     // mutated in-consensus only
     Consensus cp_;  // mutated in-consensus only
-    // Free-monitoring state (mutated in-consensus only).
+    // Episode-signal state (mutated in-consensus only).
     std::uint64_t prev_end_ = 0;
     const void* prev_completer_ = nullptr;
     std::uint32_t completer_streak_ = 0;

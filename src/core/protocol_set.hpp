@@ -369,7 +369,7 @@ static_assert(SelectPolicy<LadderCompetitivePolicy>);
  *    `adopt_margin_pct`; a *drift-triggered* probe adopts unless the
  *    rung measures worse by that margin — the signals carry
  *    information the latency average cannot (a straggler-dominated
- *    episode costs the same measured spread on every rung, but the
+ *    episode's period is the straggle window on every rung, but the
  *    skewed signal knows the scalable structure is pure overhead), so
  *    sustained drift wins measurement ties. Adoption resets all probe
  *    backoff (the regime moved); otherwise the object returns home and

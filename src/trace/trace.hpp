@@ -8,7 +8,7 @@
  * records the decisions themselves — protocol switches with the
  * triggering signal and estimator snapshot, probe begin/end, episode
  * cost samples, cohort handoff/abort edges — under the same discipline
- * the PR 4 `free_monitoring` finding forced on the primitives: events
+ * the barrier's traffic-free monitoring holds the primitives to: events
  * are emitted only from code already in consensus (or otherwise
  * single-writer), reuse timestamps the caller already took, and touch
  * only host memory. The trace layer never performs a simulated memory

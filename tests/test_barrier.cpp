@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -235,7 +236,7 @@ TEST(TopoBarrierTest, TopologyAwareTreeOrderingOddSocketSplits)
                           Shape{11, 4, 0, 5}}) {
         for (const std::uint64_t seed : {1ull, 42ull}) {
             auto bar = std::make_shared<CombiningTreeBarrier<SimPlatform>>(
-                c.procs, c.fan, false, c.sockets, c.cps);
+                c.procs, c.fan, c.sockets, c.cps);
             EXPECT_EQ(sim_barrier_torture(bar, c.procs, 25, /*compute=*/120,
                                           seed, /*straggle=*/0,
                                           sim::Topology{c.sockets, c.cps}),
@@ -284,7 +285,6 @@ TEST(TopoBarrierTest, TopologyAwareTreeStormOnNativeThreads)
     const std::uint32_t hw = std::thread::hardware_concurrency();
     const std::uint32_t threads = std::max(3u, std::min(6u, hw));
     CombiningTreeBarrier<NativePlatform> bar(threads, /*fan_in=*/2,
-                                             /*track=*/false,
                                              /*sockets=*/3);
     std::vector<std::atomic<std::uint32_t>> progress(threads);
     for (auto& a : progress)
@@ -321,7 +321,6 @@ TEST(TopoBarrierDeathTest, OversubscriptionStillAbortsWithTopology)
     EXPECT_DEATH(
         {
             CombiningTreeBarrier<NativePlatform> bar(3, /*fan_in=*/2,
-                                                     /*track=*/false,
                                                      /*sockets=*/2);
             CombiningTreeBarrier<NativePlatform>::Node nodes[4];
             // Three legitimate participants would deadlock a real
@@ -397,23 +396,12 @@ TYPED_TEST(NativeBarrierTest, SingleParticipantManyEpisodes)
 
 // ---- reactive barrier: protocol-switch correctness --------------------
 
-/// The thesis-style arrival-spread signal path, now opt-in
-/// (free_monitoring defaults on since the NUMA PR); the convergence
-/// tests below were written against it and keep validating it through
-/// its deprecation window.
-ReactiveBarrierParams spread_signal_params()
-{
-    ReactiveBarrierParams p;
-    p.free_monitoring = false;
-    return p;
-}
-
 TEST(ReactiveBarrierSwitchTest, ConvergesToTreeUnderBunchedArrivals)
 {
     using B = ReactiveBarrier<SimPlatform, AlwaysSwitchPolicy>;
     // A huge empty-streak threshold pins the barrier in tree mode once
     // it gets there (mirrors the rwlock convergence test).
-    auto bar = std::make_shared<B>(32, spread_signal_params(),
+    auto bar = std::make_shared<B>(32, ReactiveBarrierParams{},
                                    AlwaysSwitchPolicy(1u << 30));
     EXPECT_EQ(bar->mode(), B::Mode::kCentral);
     (void)apps::run_barrier_uniform<B>(32, 30, /*compute=*/100, /*seed=*/1,
@@ -430,13 +418,55 @@ TEST(ReactiveBarrierSwitchTest, ConvergesBackToCentralWhenSkewed)
     // phase's skew streak must bring it back to the centralized
     // barrier.
     using B = ReactiveBarrier<SimPlatform, AlwaysSwitchPolicy>;
-    auto bar = std::make_shared<B>(8, spread_signal_params());
+    auto bar = std::make_shared<B>(8);
     (void)apps::run_barrier_phases<B>(8, /*phases=*/2,
                                       /*episodes_per_phase=*/25,
                                       /*straggle=*/40000, /*compute=*/80,
                                       /*seed=*/1, bar);
     EXPECT_EQ(bar->mode(), B::Mode::kCentral);
     EXPECT_GE(bar->protocol_changes(), 2u);
+}
+
+TEST(ReactiveBarrierSwitchTest, FixedStragglerNeverLeavesCentral)
+{
+    // The straggler completes every episode, so the completer never
+    // rotates — the first episode included, which has no previous
+    // completer to differ from. A policy that commits on one drift and
+    // would then be pinned in the tree must never leave central.
+    using B = ReactiveBarrier<SimPlatform, AlwaysSwitchPolicy>;
+    auto bar = std::make_shared<B>(8, ReactiveBarrierParams{},
+                                   AlwaysSwitchPolicy(1u << 30));
+    (void)apps::run_barrier_straggler<B>(8, 30, /*straggle=*/30000,
+                                         /*compute=*/200, /*seed=*/1, bar);
+    EXPECT_EQ(bar->mode(), B::Mode::kCentral);
+    EXPECT_EQ(bar->protocol_changes(), 0u);
+}
+
+TEST(ReactiveBarrierSwitchTest, TracksBestStaticUnderUniformArrivals)
+{
+    // Uniformly random arrivals with no fixed straggler: the completer
+    // rotates, which sends the default reactive barrier to the tree —
+    // the better protocol at P >= 8, and close to central below. In
+    // every cell the reactive barrier must stay within 10% of the
+    // better static protocol.
+    using R = ReactiveBarrier<SimPlatform>;
+    using C = CentralBarrier<SimPlatform>;
+    using T = CombiningTreeBarrier<SimPlatform>;
+    constexpr std::uint32_t kEpisodes = 240;
+    for (const std::uint32_t procs : {2u, 8u, 32u}) {
+        for (const std::uint32_t compute : {100u, 1000u}) {
+            const auto central =
+                apps::run_barrier_uniform<C>(procs, kEpisodes, compute, 1);
+            const auto tree =
+                apps::run_barrier_uniform<T>(procs, kEpisodes, compute, 1);
+            const auto reactive =
+                apps::run_barrier_uniform<R>(procs, kEpisodes, compute, 1);
+            EXPECT_LE(static_cast<double>(reactive),
+                      1.10 * static_cast<double>(std::min(central, tree)))
+                << "P=" << procs << " compute=" << compute << ": central "
+                << central << ", tree " << tree;
+        }
+    }
 }
 
 TEST(ReactiveBarrierSwitchTest, ForcedSwitchStormKeepsOrdering)
@@ -554,13 +584,14 @@ TEST(ReactiveBarrier3Test, CycleStormOnNativeThreads)
 
 TEST(ReactiveBarrier3Test, LadderClimbsUnderBunchedArrivals)
 {
-    // Bunched arrivals at P=32: the drift signal fires every episode in
-    // central mode and keeps firing in tree mode (a more scalable rung
-    // exists), so the plain ladder policy must climb off the bottom
-    // rung and eventually reach the dissemination rung.
+    // Bunched arrivals at P=32: the completer rotates, so the drift
+    // signal fires in central mode and keeps firing in tree mode (a
+    // more scalable rung exists), and the plain ladder policy must
+    // climb off the bottom rung and eventually reach the
+    // dissemination rung.
     using B = ReactiveBarrier<SimPlatform, Ladder3Policy,
                               Barrier3Set<SimPlatform>>;
-    auto bar = std::make_shared<B>(32, spread_signal_params(),
+    auto bar = std::make_shared<B>(32, ReactiveBarrierParams{},
                                    Ladder3Policy{});
     (void)apps::run_barrier_uniform<B>(32, 60, /*compute=*/100, /*seed=*/1,
                                        bar);
@@ -570,22 +601,19 @@ TEST(ReactiveBarrier3Test, LadderClimbsUnderBunchedArrivals)
 
 TEST(ReactiveBarrier3Test, MeasuredPolicyReturnsToCentralWhenSkewed)
 {
-    // One run, two regimes, under traffic-free monitoring (the
-    // recommended configuration for N >= 3 sets): a bunched phase (the
-    // measured policy may adopt a scalable rung), then a long
-    // straggler phase — the skewed drift evidence (completer-identity
-    // streaks; the designated completer's own wait) must bring the
-    // measured ladder policy back to the bottom rung, across two rungs
-    // if needed.
+    // One run, two regimes: a bunched phase (the measured policy may
+    // adopt a scalable rung), then a long straggler phase — the skewed
+    // drift evidence (completer-identity streaks; the designated
+    // completer's own wait) must bring the measured ladder policy back
+    // to the bottom rung, across two rungs if needed.
     using B = ReactiveBarrier<SimPlatform, CalibratedLadderPolicy,
                               Barrier3Set<SimPlatform>>;
     CalibratedLadderPolicy::Params pp;
     pp.protocols = 3;
     pp.probe_period = 8;
     pp.drift_round_trip = 1500;
-    ReactiveBarrierParams bp;
-    bp.free_monitoring = true;
-    auto bar = std::make_shared<B>(8, bp, CalibratedLadderPolicy(pp));
+    auto bar = std::make_shared<B>(8, ReactiveBarrierParams{},
+                                   CalibratedLadderPolicy(pp));
     (void)apps::run_barrier_phases<B>(8, /*phases=*/2,
                                       /*episodes_per_phase=*/60,
                                       /*straggle=*/40000, /*compute=*/80,
@@ -594,33 +622,12 @@ TEST(ReactiveBarrier3Test, MeasuredPolicyReturnsToCentralWhenSkewed)
     EXPECT_GT(bar->protocol_changes(), 0u);
 }
 
-TEST(ReactiveBarrier3Test, FreeMonitoringCycleStormKeepsOrdering)
+TEST(ReactiveBarrier3Test, ParkedBarrierAddsOnlyTheModeRead)
 {
-    // The cycle storm again with untracked slots (free monitoring):
-    // switch correctness must not depend on the spread machinery.
-    using B = ReactiveBarrier<SimPlatform, CycleSelectPolicy,
-                              Barrier3Set<SimPlatform>>;
-    ReactiveBarrierParams bp;
-    bp.free_monitoring = true;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        auto bar = std::make_shared<B>(
-            12, bp, CycleSelectPolicy(/*protocols=*/3, /*k=*/1, +1));
-        EXPECT_EQ(sim_barrier_torture(bar, 12, 42, /*compute=*/100, seed),
-                  0)
-            << "seed " << seed;
-        EXPECT_EQ(bar->protocol_changes(), 42u) << "seed " << seed;
-    }
-}
-
-TEST(ReactiveBarrier3Test, ParkedFreeMonitoringBarrierAddsOnlyTheModeRead)
-{
-    // The free_monitoring default-flip regression (ROADMAP follow-on):
-    // a reactive barrier parked in its initial protocol must execute
-    // the static protocol's exact shared-memory operations — the only
-    // extra access is the one mode-hint read each arrival's dispatch
-    // performs, which free monitoring cannot remove and which existed
-    // in every prior configuration too. The spread path, by contrast,
-    // pays stamp traffic every episode.
+    // Monitoring is traffic-free: a reactive barrier parked in its
+    // initial protocol must execute the static protocol's exact
+    // shared-memory operations — the only extra access is the one
+    // mode-hint read each arrival's dispatch performs.
     struct NeverPolicy {
         bool on_tts_acquire(bool) { return false; }
         bool on_queue_acquire(bool) { return false; }
@@ -649,31 +656,23 @@ TEST(ReactiveBarrier3Test, ParkedFreeMonitoringBarrierAddsOnlyTheModeRead)
         return std::make_shared<CentralBarrier<SimPlatform>>(procs);
     };
     auto parked = [](std::uint32_t procs) {
-        return std::make_shared<Parked>(procs);  // defaults: free monitoring
-    };
-    auto spread = [](std::uint32_t procs) {
-        return std::make_shared<Parked>(procs, spread_signal_params());
+        return std::make_shared<Parked>(procs);
     };
     // Spin-free configuration (one participant: nobody ever polls a
     // sense word, so the op count is schedule-independent): the parked
     // barrier executes *exactly* the static protocol's memory
-    // operations plus the one mode-hint read per arrival — the
-    // dispatch read free monitoring cannot remove and every prior
-    // configuration also paid.
+    // operations plus the one mode-hint read per arrival.
     EXPECT_EQ(run(1, parked), run(1, central) + kEpisodes);
     // Contended configuration: poll counts shift with scheduling, so
     // the per-op claim is bounded rather than exact — the parked
     // barrier stays within the mode reads plus poll noise of the
-    // static protocol — while the spread path's stamp traffic (a CAS
-    // per arrival plus the completer's reads) is well outside it.
+    // static protocol.
     const std::uint64_t central_ops = run(12, central);
     const std::uint64_t parked_ops = run(12, parked);
-    const std::uint64_t spread_ops = run(12, spread);
     const std::uint64_t mode_reads = 12u * kEpisodes;
     const std::uint64_t poll_noise = central_ops / 50;  // 2%
     EXPECT_LE(parked_ops, central_ops + mode_reads + poll_noise);
     EXPECT_GE(parked_ops + poll_noise, central_ops);
-    EXPECT_GT(spread_ops, parked_ops + mode_reads);
 }
 
 TEST(ReactiveBarrierSwitchTest, PhaseShiftingTracksBothRegimes)
@@ -682,7 +681,7 @@ TEST(ReactiveBarrierSwitchTest, PhaseShiftingTracksBothRegimes)
     // must keep switching (at least once per regime flip would be
     // ideal; we require that it reacts repeatedly, not just once).
     using B = ReactiveBarrier<SimPlatform, AlwaysSwitchPolicy>;
-    auto bar = std::make_shared<B>(16, spread_signal_params());
+    auto bar = std::make_shared<B>(16);
     (void)apps::run_barrier_phases<B>(16, /*phases=*/6,
                                       /*episodes_per_phase=*/20,
                                       /*straggle=*/40000, /*compute=*/100,

@@ -478,9 +478,6 @@ TEST(BarrierCalibrationTest, CalibratingPolicyReachesTreeUnderBunchedLoad)
     using Bar = ReactiveBarrier<SimPlatform, CalibratedCompetitive3Policy>;
     ReactiveBarrierParams bp;
     bp.calibrate = true;
-    // This test validates the thesis-style spread-signal calibration
-    // path (opt-in since free_monitoring became the default).
-    bp.free_monitoring = false;
     CalibratedCompetitive3Policy::Params pp;
     pp.costs = reluctant_seeds();
     pp.probe_period = 32;

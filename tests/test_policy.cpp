@@ -275,8 +275,8 @@ TEST(CalibratedLadderTest, DriftProbeAdoptsOnMeasuredTie)
 {
     // Sustained drift triggers an excursion; on a measurement tie the
     // drift evidence wins and the probed rung is adopted (the skewed
-    // regime costs the same spread on every rung — the signal is the
-    // only discriminator).
+    // regime's period is the straggle window on every rung — the
+    // signal is the only discriminator).
     CalibratedLadderPolicy p(measured3());
     EXPECT_EQ(p.next_protocol({0, +1, 1000}), 0u);
     EXPECT_EQ(p.next_protocol({0, +1, 1000}), 1u);  // account full: probe
