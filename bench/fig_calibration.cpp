@@ -27,11 +27,12 @@
  * future PRs can diff crossovers mechanically.
  *
  * A second pair of tables repeats the experiment for the reactive
- * barrier (bunched vs. straggler arrivals, thresholds calibrated from
- * the measured counter-RMW floor), a third for the reactive rwlock's
- * write-heavy mix, and `--native` adds pinned fixed-thread-pool tables
- * on real hardware (bench/contended_harness.hpp). `--smoke` runs a
- * tiny sim subset for CI.
+ * barrier (bunched vs. straggler arrivals; its episode thresholds are
+ * static, so only the policies' cost seeds are wrong), a third for the
+ * reactive rwlock's write-heavy mix, and `--native` adds pinned
+ * fixed-thread-pool tables on real hardware
+ * (bench/contended_harness.hpp). `--smoke` runs a tiny sim subset for
+ * CI.
  */
 #include <cmath>
 #include <iostream>
@@ -228,18 +229,6 @@ CalibratedCompetitive3Policy::Params barrier_policy_params(
     return p;
 }
 
-ReactiveBarrierParams barrier_params_calibrated(std::uint32_t seed_scale_num,
-                                                std::uint32_t seed_scale_den)
-{
-    ReactiveBarrierParams p;
-    p.calibrate = true;
-    p.bunched_cycles_per_arrival =
-        p.bunched_cycles_per_arrival * seed_scale_num / seed_scale_den;
-    p.contended_rmw_cycles =
-        p.contended_rmw_cycles * seed_scale_num / seed_scale_den;
-    return p;
-}
-
 template <typename B>
 double barrier_cycles_per_episode(std::shared_ptr<B> bar, std::uint32_t procs,
                                   std::uint32_t episodes, bool skewed,
@@ -281,13 +270,13 @@ void barrier_regime_table(const char* title, const char* regime, bool skewed,
             args.seed));
         rows[3].push_back(barrier_cycles_per_episode(
             std::make_shared<ReactiveBarCal>(
-                p, barrier_params_calibrated(10, 1),
+                p, ReactiveBarrierParams{},
                 CalibratedCompetitive3Policy(
                     barrier_policy_params(reluctant_seeds()))),
             p, episodes, skewed, args.seed));
         rows[4].push_back(barrier_cycles_per_episode(
             std::make_shared<ReactiveBarCal>(
-                p, barrier_params_calibrated(1, 10),
+                p, ReactiveBarrierParams{},
                 CalibratedCompetitive3Policy(
                     barrier_policy_params(eager_seeds()))),
             p, episodes, skewed, args.seed));
@@ -300,8 +289,8 @@ void barrier_regime_table(const char* title, const char* regime, bool skewed,
         table.row(names[i], std::move(rows[i]), /*is_static=*/i < 2);
     table.emit(&g_records,
                {"cycles per episode; calibrated rows start from 10x wrong",
-                "threshold and cost seeds and re-derive both from measured",
-                "episode periods and counter-RMW latencies"});
+                "cost seeds and re-derive them from measured episode",
+                "periods; every barrier threshold is static"});
     if (g_check_enabled) {
         // The adaptive baseline is the reactive barrier itself: its gap
         // to ideal is the switch transient (see fig_barrier);
@@ -461,10 +450,8 @@ void native_tables(const BenchArgs& args)
             CentralBarrier<NativePlatform> central(c);
             CombiningTreeBarrier<NativePlatform> tree(c, 4);
             ReactiveBarrier<NativePlatform> rea(c);
-            ReactiveBarrierParams cal_params;
-            cal_params.calibrate = true;
             ReactiveBarrier<NativePlatform, CalibratedCompetitive3Policy> cal(
-                c, cal_params,
+                c, ReactiveBarrierParams{},
                 CalibratedCompetitive3Policy(
                     barrier_policy_params(CostEstimator::Params{})));
             rows[0].push_back(

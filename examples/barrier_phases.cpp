@@ -65,17 +65,14 @@ int main()
     constexpr std::uint64_t kImbalancedWork = 400000; // worker 0, odd phases
 
     // Traffic-free monitoring: a rotating completer moves the barrier
-    // up, completer-identity streaks detect the imbalanced phases, and
-    // episode periods rank the three rungs. Central mode's other
-    // up-drift signal, a queued counter RMW, is a cycle budget whose
-    // default is sized to the simulator; set a native TSC budget.
-    reactive::ReactiveBarrierParams params;
-    params.contended_rmw_cycles = 2000;  // native TSC budget
+    // up, completer-identity streaks (on the dissemination rung, the
+    // designated completer's own rounds) detect the imbalanced phases,
+    // and episode periods rank the three rungs. No setting is needed.
     reactive::CalibratedLadderPolicy::Params policy_params;
     policy_params.protocols = 3;
     policy_params.probe_period = 8;
     policy_params.probe_backoff_cap = 7;
-    PhaseBarrier barrier(workers, params,
+    PhaseBarrier barrier(workers, reactive::ReactiveBarrierParams{},
                          reactive::CalibratedLadderPolicy(policy_params));
 
     std::printf("barrier_phases: %u workers, %d phases of %d episodes "

@@ -59,7 +59,8 @@ struct BarrierSlotOptions {
  * Outcome of one decomposed arrival — the barrier family's
  * per-acquisition signal (the `ProtocolSlot` signal requirement,
  * core/protocol_set.hpp). `last` elects the episode's consensus
- * process; `arrive_cycles` is only meaningful on the completer.
+ * process; `arrive_cycles` is set only by a protocol with a fixed
+ * completer, and only on that completer.
  */
 struct BarrierEpisode {
     bool last = false;  ///< this arrival completed the episode
@@ -68,7 +69,8 @@ struct BarrierEpisode {
     /// identity then carries no arrival-order information, and skew
     /// detection falls back to the completer's own arrival latency.
     bool fixed_completer = false;
-    std::uint64_t arrive_cycles = 0;  ///< completer's own arrival latency
+    /// The fixed completer's own arrival latency (0 elsewhere).
+    std::uint64_t arrive_cycles = 0;
 };
 
 // clang-format off

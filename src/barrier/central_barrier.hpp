@@ -17,11 +17,10 @@
  * wait_episode() / release_episode() (the uniform BarrierProtocolSlot
  * interface) so the reactive barrier can interpose its consensus step
  * between detecting the last arrival and releasing the episode. The
- * decomposition adds no shared-memory operation: the completer's
- * signals are its own identity (the last arrival) and its own
- * counter-RMW latency, timed from two local clock reads around the
- * decrement, so the reactive barrier parked here executes exactly the
- * standalone barrier's memory operations.
+ * decomposition adds no shared-memory operation and reads no clock:
+ * the completer's signal is its own identity (the last arrival), so
+ * the reactive barrier parked here executes exactly the standalone
+ * barrier's memory operations.
  */
 #pragma once
 
@@ -82,20 +81,13 @@ class CentralBarrier {
     /// Signals this participant's arrival (flips the node's sense).
     /// `last` in the result means the caller holds the episode
     /// consensus and must eventually call release_episode(); everyone
-    /// else calls wait_episode(). The caller's counter-RMW latency
-    /// rides in the result — under bunched arrivals the RMW latency
-    /// includes the directory queueing delay, the protocol's
-    /// contention observation.
+    /// else calls wait_episode().
     BarrierEpisode arrive_only(Node& n)
     {
         BarrierEpisode a;
         n.episode_sense = n.sense;
         n.sense ^= 1u;
-        const std::uint64_t t0 = P::now();
-        const std::uint32_t prev =
-            count_.fetch_sub(1, std::memory_order_acq_rel);
-        a.arrive_cycles = P::now() - t0;
-        a.last = prev == 1;
+        a.last = count_.fetch_sub(1, std::memory_order_acq_rel) == 1;
         return a;
     }
 

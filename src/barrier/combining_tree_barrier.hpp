@@ -28,10 +28,10 @@
  * every participant before its next arrival.
  *
  * Reactive hooks: the root completer is the barrier's natural consensus
- * point. Its signals are its own identity (under a straggler, the
- * straggler climbs to the root every episode) and its climb latency,
- * timed locally, so the climb performs the same memory operations
- * whether or not a reactive barrier is listening.
+ * point. Its signal is its own identity (under a straggler, the
+ * straggler climbs to the root every episode), so the climb performs
+ * the same memory operations, and reads no clock, whether or not a
+ * reactive barrier is listening.
  *
  * Topology-aware placement (`BarrierSlotOptions::sockets >= 2`):
  * participants are assigned leaf ids from their own socket's contiguous
@@ -160,8 +160,7 @@ class CombiningTreeBarrier {
      * the next episode on the way. `last` in the result means this
      * process completed the episode at the root (it then holds the
      * episode consensus and must eventually call release_episode());
-     * otherwise the caller waits via wait_episode(). The completer's
-     * climb latency rides in the result.
+     * otherwise the caller waits via wait_episode().
      */
     BarrierEpisode arrive_only(Node& n)
     {
@@ -175,7 +174,6 @@ class CombiningTreeBarrier {
         }
         n.sense ^= 1u;
         n.depth = 0;
-        const std::uint64_t t0 = P::now();
         TreeNode* t = &nodes_[leaf_of_[n.id]];
         for (;;) {
             const std::uint32_t prev =
@@ -192,7 +190,6 @@ class CombiningTreeBarrier {
             if (t->parent == nullptr) {
                 BarrierEpisode ep;
                 ep.last = true;
-                ep.arrive_cycles = P::now() - t0;
                 return ep;
             }
             t = t->parent;

@@ -44,12 +44,12 @@
  * barrier runs), so the reactive crossover tables compare like with
  * like.
  *
- * Reactive signal hook: the completer times its own rounds with two
- * local clock reads. Its rounds wait out every participant it depends
- * on, so a long rounds latency means a straggler dominated the episode
- * (the designated completer's skew signal, reactive_barrier.hpp); its
- * identity is fixed and says nothing, which `fixed_completer` in the
- * result declares.
+ * Reactive signal hook: the completer, and only the completer, times
+ * its own rounds with two local clock reads. Its rounds wait out every
+ * participant it depends on, so a long rounds latency means a
+ * straggler dominated the episode (the designated completer's skew
+ * signal, reactive_barrier.hpp); its identity is fixed and says
+ * nothing, which `fixed_completer` in the result declares.
  */
 #pragma once
 
@@ -148,7 +148,8 @@ class DisseminationBarrier {
             n.assigned = true;
         }
         const std::uint64_t e = ++n.episode;
-        const std::uint64_t t0 = P::now();
+        const bool completer = n.id == 0;
+        const std::uint64_t t0 = completer ? P::now() : 0;
         for (std::uint32_t r = 0; r < rounds_; ++r) {
             const std::uint32_t partner =
                 (n.id + (1u << r)) % participants_;
@@ -159,7 +160,7 @@ class DisseminationBarrier {
                 P::pause();
         }
         BarrierEpisode ep;
-        ep.last = n.id == 0;
+        ep.last = completer;
         ep.fixed_completer = true;
         if (ep.last)
             ep.arrive_cycles = P::now() - t0;

@@ -44,50 +44,46 @@
  *    in consensus, so monitoring adds no shared-memory operation and a
  *    reactive barrier parked in a protocol executes that static
  *    protocol's exact memory operations (plus the per-arrival mode
- *    read). It reads three things. *Who* completed: an elected
+ *    read). It reads two things. *Who* completed: an elected
  *    completer is the last arrival, so a completer that differs from
  *    the previous episode's means the arrivals raced (the scalable
  *    rungs' regime), while one participant completing several
  *    episodes running is a straggler dominating them (any tree or
- *    round structure is then pure overhead: the central regime). *Its
- *    own arrival latency*: in central mode the counter RMW, which
- *    measures queueing at the counter's home directory; for a
- *    designated completer its rounds, which wait out any straggler it
- *    depends on. *When*: the episode period, the difference of
- *    consecutive consensus timestamps — the episode's true wall cost,
- *    taken at the same point of every protocol's episode and so
- *    comparable across protocols (DESIGN.md, "Completer-measured
- *    spreads are not comparable across barrier protocols"). The
- *    completer's observe / switch / publish steps are one
- *    ConsensusPoint (core/consensus_point.hpp; DESIGN.md "One consensus
- *    point").
+ *    round structure is then pure overhead: the central regime). A
+ *    designated completer's identity says nothing, so its own rounds,
+ *    which wait out any straggler it depends on, are its skew signal.
+ *    *When*: the episode period, the difference of consecutive
+ *    consensus timestamps — the episode's true wall cost, taken at the
+ *    same point of every protocol's episode and so comparable across
+ *    protocols (DESIGN.md, "Completer-measured spreads are not
+ *    comparable across barrier protocols"). Only a calibrating policy
+ *    reads the clock for it. The completer's observe / switch /
+ *    publish steps are one ConsensusPoint (core/consensus_point.hpp;
+ *    DESIGN.md "One consensus point").
  *
  * Policy interface: the completer classifies the episode into one
- * `Observation` — drift +1 (a rotating completer below the top rung,
- * or a contended counter RMW on the bottom rung: the current protocol
- * is under-provisioned), drift -1 (straggler-dominated above the
- * bottom rung: over-provisioned), plus the episode period as its cost
- * sample once there is one — and asks the policy for the next
- * protocol. Binary `SwitchPolicy` policies embed through
- * `SelectAdapter` with their historical observation mapping (a
- * central-mode episode feeds `on_tts_acquire(drift > 0)`, a top-rung
- * episode feeds `on_queue_acquire(drift < 0)`), so AlwaysSwitch,
- * Competitive3 and Hysteresis apply to the two-protocol set
- * bit-compatibly, with an episode as the unit of observation; the
+ * `Observation` — drift +1 (a rotating completer below the top rung:
+ * the current protocol is under-provisioned), drift -1
+ * (straggler-dominated above the bottom rung: over-provisioned), plus
+ * the episode period as its cost sample once there is one — and asks
+ * the policy for the next protocol. Binary `SwitchPolicy` policies
+ * embed through `SelectAdapter` with their historical observation
+ * mapping (a central-mode episode feeds `on_tts_acquire(drift > 0)`, a
+ * top-rung episode feeds `on_queue_acquire(drift < 0)`), so
+ * AlwaysSwitch, Competitive3 and Hysteresis apply to the two-protocol
+ * set bit-compatibly, with an episode as the unit of observation; the
  * calibrated binary policies map the same way. Every two-protocol
  * policy declares `kProtocols = 2`, and a three-protocol set rejects
  * it at compile time. N-protocol sets take an N-ary `SelectPolicy`
  * (e.g. CalibratedLadderPolicy, whose measured per-rung episode costs
  * rank protocols the drift signal alone cannot).
  *
- * Calibration (core/cost_model.hpp): with `ReactiveBarrierParams::
- * calibrate` the contended-RMW and designated-completer skew
- * thresholds are re-derived each episode from the completer's measured
- * counter-RMW latency (a decaying minimum tracking the uncontended
- * cost) instead of compile-time cycle constants. A calibrating policy
- * receives each episode's period as a cost sample either way — all
- * computed by the completer from timestamps it already holds, so
- * calibration adds no shared-memory traffic.
+ * Calibration (core/cost_model.hpp) lives in the policy: a calibrating
+ * policy receives each episode's period as a cost sample, computed by
+ * the completer from its own consensus stamps, so calibration adds no
+ * shared-memory traffic. The episode classification itself has no
+ * cycle threshold except the designated completer's skew test
+ * (kSkewCyclesPerParticipant); the rest is who completed.
  */
 #pragma once
 
@@ -108,7 +104,10 @@
 
 namespace reactive {
 
-/// Tunables for the reactive barrier's episode monitor.
+/// Slot-protocol settings of the reactive barrier. The episode
+/// monitor has none: its two thresholds are the constants
+/// `ReactiveBarrier::kSkewCyclesPerParticipant` and
+/// `ReactiveBarrier::kSkewCompleterStreak`.
 struct ReactiveBarrierParams {
     /// Arrival fan-in of tree-shaped slot protocols.
     std::uint32_t fan_in = 4;
@@ -118,40 +117,6 @@ struct ReactiveBarrierParams {
     std::uint32_t sockets = 1;
     /// Participants per socket (0 = balanced, ceil(P / sockets)).
     std::uint32_t cores_per_socket = 0;
-    /// Per-arrival cycle budget of a bunched episode, sized to a
-    /// directory-serialized RMW plus slack on the simulated machine
-    /// (on native hardware a TSC-cycle budget). It sets the designated
-    /// completer's skew test (below) and seeds the calibrated RMW
-    /// floor (this / bunched_rmw_multiple).
-    std::uint32_t bunched_cycles_per_arrival = 150;
-    /// A designated completer whose own rounds took longer than
-    /// participants * the bunched budget * this waited out a straggler:
-    /// the episode is "skewed" and a scalable rung buys nothing.
-    std::uint32_t skew_factor = 4;
-    /// A completer whose own counter RMW took this long observed
-    /// directory queueing directly (central mode's second up-drift
-    /// signal, beside a rotating completer). Sized in simulated cycles,
-    /// where it never fires alone; on native threads it is compared
-    /// with TSC cycles and fires far more often than the completer
-    /// rotates (DESIGN.md). Seed only when `calibrate` is set.
-    std::uint32_t contended_rmw_cycles = 400;
-    /// Derive the bunched budget and the contended-RMW threshold at run
-    /// time from the completer's measured counter-RMW latency instead
-    /// of the cycle constants above. The constants then act as seeds:
-    /// the initial RMW floor is bunched_cycles_per_arrival /
-    /// bunched_rmw_multiple, so a calibrated barrier starts numerically
-    /// identical to a static one and adapts from the first central
-    /// episode onward.
-    bool calibrate = false;
-    /// Bunched budget per arrival = this many uncontended RMWs (the
-    /// slack over the raw serialization cost; 3 * 50 = the static 150).
-    std::uint32_t bunched_rmw_multiple = 3;
-    /// A completer RMW at or above this many uncontended RMWs observed
-    /// directory queueing (8 * 50 = the static 400).
-    std::uint32_t contended_rmw_multiple = 8;
-    /// Consecutive episodes completed by the same participant that
-    /// classify the regime as straggler-dominated.
-    std::uint32_t skew_completer_streak = 3;
 };
 
 /// The stock barrier protocol sets, in scalability order.
@@ -199,6 +164,17 @@ class ReactiveBarrier {
     /// Number of protocols in the set.
     static constexpr std::uint32_t kProtocols = Set::kCount;
 
+    /// A designated completer whose own rounds took at least this many
+    /// cycles per participant waited out a straggler: the episode is
+    /// "skewed" and a scalable rung buys nothing. Four bunched
+    /// per-arrival budgets of 150 cycles, each a directory-serialized
+    /// RMW plus slack on the simulated machine (on native hardware,
+    /// TSC cycles).
+    static constexpr std::uint64_t kSkewCyclesPerParticipant = 600;
+    /// Consecutive episodes completed by the same participant that
+    /// classify the regime as straggler-dominated.
+    static constexpr std::uint32_t kSkewCompleterStreak = 3;
+
     static_assert(kProtocols == 2 || !requires { Select::kProtocols; },
                   "two-protocol policies (binary SwitchPolicies, the "
                   "calibrated binary policies) drive only two-protocol "
@@ -243,10 +219,6 @@ class ReactiveBarrier {
                                   /*cores_per_socket=*/
                                   params.cores_per_socket}),
           participants_(participants),
-          params_(params),
-          rmw_floor_(params.bunched_cycles_per_arrival /
-                     (params.bunched_rmw_multiple ? params.bunched_rmw_multiple
-                                                  : 1)),
           cp_(trace::ObjectClass::kBarrier, kProtocols, std::move(policy),
               participants)
     {
@@ -336,10 +308,6 @@ class ReactiveBarrier {
         return set_.template get<I>();
     }
 
-    /// Measured uncontended-RMW floor driving the calibrated
-    /// thresholds (in-consensus callers and tests).
-    std::uint64_t rmw_floor() const { return rmw_floor_; }
-
     /// Wait-policy state access (in-consensus callers only).
     WaitPolicy& wait_policy()
         requires kParking
@@ -384,23 +352,9 @@ class ReactiveBarrier {
     {
         if (participants_ < 2)
             return;  // a 1-participant barrier has no contention axis
-        const std::uint64_t end = P::now();
-        // Classification thresholds: static cycle constants, or (with
-        // calibrate) re-derived each episode from the measured RMW
-        // floor — "uncontended counter RMWs", which the completer
-        // measures for free on the bottom rung.
-        std::uint64_t per_arrival = params_.bunched_cycles_per_arrival;
-        std::uint64_t contended_rmw = params_.contended_rmw_cycles;
-        if (params_.calibrate) {
-            if (m == 0)
-                sample_rmw_floor(ep.arrive_cycles);
-            per_arrival = static_cast<std::uint64_t>(
-                              params_.bunched_rmw_multiple) *
-                          rmw_floor_;
-            contended_rmw = static_cast<std::uint64_t>(
-                                params_.contended_rmw_multiple) *
-                            rmw_floor_;
-        }
+        // The episode's consensus stamp, read only for a calibrating
+        // policy (the lock's rule): the classification needs no clock.
+        const std::uint64_t end = Consensus::clock();
         bool skewed = false;
         bool rotating = false;
         if (ep.fixed_completer) {
@@ -413,8 +367,8 @@ class ReactiveBarrier {
             // idles in this rung through the straggler regime, paying
             // the rung's O(log P) structure (a small constant against
             // the straggle window) until the regime changes.
-            skewed = ep.arrive_cycles >= per_arrival * participants_ *
-                                             params_.skew_factor;
+            skewed = ep.arrive_cycles >=
+                     kSkewCyclesPerParticipant * participants_;
         } else {
             // An elected completer is the episode's last arrival: a
             // straggler completes every episode it dominates, while
@@ -425,26 +379,23 @@ class ReactiveBarrier {
             completer_streak_ =
                 completer == prev_completer_ ? completer_streak_ + 1 : 1;
             prev_completer_ = completer;
-            skewed = completer_streak_ >= params_.skew_completer_streak;
+            skewed = completer_streak_ >= kSkewCompleterStreak;
         }
         // Drift along the set's scalability order. Under-provisioned: a
-        // counter RMW that queued at its home directory (bottom rung),
-        // or a rotating completer on any rung with a rung above it —
-        // the arrivals raced to the end. Over-provisioned: a straggler
+        // rotating completer on any rung with a rung above it — the
+        // arrivals raced to the end. Over-provisioned: a straggler
         // dominates a scalable rung. Gating the up-drift on rotation
         // keeps a policy that commits on drift alone from climbing
         // through episodes that carry neither signal.
         int drift = 0;
-        if (m == 0 && ep.arrive_cycles >= contended_rmw)
-            drift = +1;
-        else if (m > 0 && skewed)
+        if (m > 0 && skewed)
             drift = -1;
         else if (rotating && m + 1 < kProtocols)
             drift = +1;
         // The cost sample is the episode period: the difference of
-        // consecutive consensus timestamps, i.e. the true wall cost of
-        // an episode, comparable across protocols (none yet on the
-        // first episode).
+        // consecutive consensus stamps, i.e. the true wall cost of an
+        // episode, comparable across protocols (none on the first
+        // episode, nor for a policy that reads no clock).
         Observation obs{m, drift};
         if (prev_end_ != 0 && end > prev_end_)
             obs.cycles = end - prev_end_;
@@ -464,23 +415,6 @@ class ReactiveBarrier {
         }
     }
 
-    /// Decaying minimum of the completer's bottom-rung counter-RMW
-    /// latency: drops to a lower sample immediately, grows toward
-    /// higher samples by ~1/16 per bottom-rung episode (1/4 for the
-    /// first few, so a mis-seeded floor heals within a handful of
-    /// episodes). Tracks the *uncontended* RMW cost because the min
-    /// over any window that contains one quiet arrival is the quiet
-    /// one.
-    void sample_rmw_floor(std::uint64_t sample)
-    {
-        const std::uint32_t shift = floor_samples_ < 8 ? 2 : 4;
-        if (floor_samples_ < 8)
-            ++floor_samples_;
-        const std::uint64_t grown =
-            rmw_floor_ + (rmw_floor_ >> shift) + 1;
-        rmw_floor_ = sample < grown ? sample : grown;
-    }
-
     Set set_;
     const std::uint32_t participants_;
 
@@ -488,10 +422,7 @@ class ReactiveBarrier {
     // per arrival; it lives on its own mostly-read line (Section 3.2.6).
     CacheAligned<typename P::template Atomic<std::uint32_t>> mode_;
 
-    ReactiveBarrierParams params_;
     const std::uint64_t facade_key_ = next_object_key();
-    std::uint64_t rmw_floor_;             // mutated in-consensus only
-    std::uint32_t floor_samples_ = 0;     // mutated in-consensus only
     Consensus cp_;  // mutated in-consensus only
     // Episode-signal state (mutated in-consensus only).
     std::uint64_t prev_end_ = 0;

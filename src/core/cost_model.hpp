@@ -207,7 +207,7 @@ struct WaitSignal {
  * traffic. The whole estimator is cache-line-aligned so that embedding
  * it in a lock cannot false-share with the lock words.
  *
- * EWMA details: gain is 2^-ewma_shift, with a *fast start* — the first
+ * EWMA details: gain is 2^-kEwmaShift, with a *fast start* — the first
  * few samples of each statistic use gain 1/2 so a wildly wrong seed is
  * corrected within a handful of observations instead of lingering for
  * dozens. Updates move monotonically toward the sample and converge to
@@ -215,12 +215,28 @@ struct WaitSignal {
  */
 class alignas(kCacheLineSize) CostEstimator {
   public:
+    /// The holder-measurable span of a protocol change covers only its
+    /// local work (validate/retire words, flip the hint, dismantle the
+    /// queue); the systemic cost — every waiter re-routing through the
+    /// dispatcher, the invalidation storms their retries cause, the
+    /// re-steadying of the new protocol — lands on *other* processes
+    /// and is well over an order of magnitude larger: the thesis
+    /// measured ~8800 cycles for the round trip where the holder-local
+    /// span is ~100 (one validate RMW plus the hint store, or a short
+    /// queue dismantle). The ratio is roughly machine-independent (both
+    /// sides are a handful of remote operations each, multiplied by the
+    /// same coherence costs), which is what makes the span a usable
+    /// runtime proxy: round trip = 2 * multiplier * measured span.
+    static constexpr std::uint32_t kSwitchCostMultiplier = 44;
+    /// Steady-state gain 2^-shift.
+    static constexpr std::uint32_t kEwmaShift = 3;
+
     /**
      * Seed values, in cycles. The defaults encode the same Alewife
      * measurements as `Competitive3Policy::Params`: the derived
      * residuals start at 250-100 = 150 (contended TTS) and 65-50 = 15
      * (empty queue), and the derived round trip at
-     * 2 * switch_cost_multiplier * 100 = 8800.
+     * 2 * kSwitchCostMultiplier * 100 = 8800.
      */
     struct Params {
         std::uint64_t tts_uncontended = 50;  ///< immediate slow-path TTS win
@@ -228,22 +244,6 @@ class alignas(kCacheLineSize) CostEstimator {
         std::uint64_t queue_empty = 65;      ///< queue acquisition, queue empty
         std::uint64_t queue_waited = 100;    ///< queue acquisition after a wait
         std::uint64_t switch_one_way = 100;  ///< holder-local span of one change
-        /// The holder-measurable span of a protocol change covers only
-        /// its local work (validate/retire words, flip the hint,
-        /// dismantle the queue); the systemic cost — every waiter
-        /// re-routing through the dispatcher, the invalidation storms
-        /// their retries cause, the re-steadying of the new protocol —
-        /// lands on *other* processes and is well over an order of
-        /// magnitude larger: the thesis measured ~8800 cycles for the
-        /// round trip where the holder-local span is ~100 (one
-        /// validate RMW plus the hint store, or a short queue
-        /// dismantle). The ratio is roughly machine-independent (both
-        /// sides are a handful of remote operations each, multiplied
-        /// by the same coherence costs), which is what makes the span
-        /// a usable runtime proxy: round trip = 2 * multiplier *
-        /// measured span.
-        std::uint32_t switch_cost_multiplier = 44;
-        std::uint32_t ewma_shift = 3;  ///< steady-state gain 2^-shift
 
         /// Seeds scaled by num/den — the "deliberately wrong constants"
         /// hook for tests and the calibration benchmark.
@@ -288,8 +288,7 @@ class alignas(kCacheLineSize) CostEstimator {
     CostEstimator() : CostEstimator(Params{}) {}
 
     explicit CostEstimator(Params p)
-        : params_(p),
-          tts_uncontended_(p.tts_uncontended),
+        : tts_uncontended_(p.tts_uncontended),
           tts_contended_(p.tts_contended),
           queue_empty_(p.queue_empty),
           queue_waited_(p.queue_waited),
@@ -309,15 +308,15 @@ class alignas(kCacheLineSize) CostEstimator {
     void sample_tts(bool contended, std::uint64_t cycles, bool cross = false)
     {
         Stat& s = contended ? tts_contended_ : tts_uncontended_;
-        s.update(cycles, params_.ewma_shift, cross);
-        tts_overall_.update(cycles, params_.ewma_shift);
+        s.update(cycles, kEwmaShift, cross);
+        tts_overall_.update(cycles, kEwmaShift);
     }
 
     void sample_queue(bool empty, std::uint64_t cycles, bool cross = false)
     {
         Stat& s = empty ? queue_empty_ : queue_waited_;
-        s.update(cycles, params_.ewma_shift, cross);
-        queue_overall_.update(cycles, params_.ewma_shift);
+        s.update(cycles, kEwmaShift, cross);
+        queue_overall_.update(cycles, kEwmaShift);
     }
 
     /// One observation's cycle sample (@p o.cycles must be set), routed
@@ -336,7 +335,7 @@ class alignas(kCacheLineSize) CostEstimator {
     /// needs to flush it.
     void sample_switch(std::uint64_t cycles)
     {
-        switch_one_way_.observe(cycles, params_.ewma_shift);
+        switch_one_way_.observe(cycles, kEwmaShift);
     }
 
     // ---- derived policy constants ------------------------------------
@@ -365,10 +364,11 @@ class alignas(kCacheLineSize) CostEstimator {
     }
 
     /// Estimated switch round trip (there and back again), scaled from
-    /// the holder-local span to the systemic cost (see Params).
+    /// the holder-local span to the systemic cost (see
+    /// kSwitchCostMultiplier).
     std::uint64_t switch_round_trip() const
     {
-        return 2 * params_.switch_cost_multiplier * switch_one_way_.value;
+        return 2 * kSwitchCostMultiplier * switch_one_way_.value;
     }
 
     /// Overall per-protocol latency estimates (probe vote baselines).
@@ -416,7 +416,6 @@ class alignas(kCacheLineSize) CostEstimator {
         return a > b ? a - b : 1;
     }
 
-    Params params_;
     Stat tts_uncontended_;
     Stat tts_contended_;
     Stat queue_empty_;
@@ -750,7 +749,7 @@ class CalibratedCompetitive3Policy {
  * evidence worth x * residual cycles, so the mirror of "switch when the
  * residual exceeds the round trip" is x = round_trip / residual (and
  * likewise y). This class recomputes x and y from the estimator on
- * every decision, clamped to [min_streak, max_streak] so a degenerate
+ * every decision, clamped to [kMinStreak, kMaxStreak] so a degenerate
  * estimate can neither pin the policy open nor slam it shut.
  *
  * It never probes, so its dormant estimates refresh only while the
@@ -763,17 +762,16 @@ class CalibratedHysteresisPolicy {
   public:
     struct Params {
         CostEstimator::Params costs{};
-        std::uint32_t min_streak = 2;
-        std::uint32_t max_streak = 4096;
     };
 
     /// Two-protocol policy: protocol 0 is TTS, protocol 1 the queue.
     static constexpr std::uint32_t kProtocols = 2;
+    /// Bounds on the derived streak thresholds.
+    static constexpr std::uint32_t kMinStreak = 2;
+    static constexpr std::uint32_t kMaxStreak = 4096;
 
     CalibratedHysteresisPolicy() = default;
-    explicit CalibratedHysteresisPolicy(Params p) : params_(p), est_(p.costs)
-    {
-    }
+    explicit CalibratedHysteresisPolicy(Params p) : est_(p.costs) {}
 
     /// One observation, mapped and sampled as in
     /// CalibratedCompetitive3Policy (the first sample after a protocol
@@ -832,14 +830,13 @@ class CalibratedHysteresisPolicy {
     std::uint32_t derive(std::uint64_t residual) const
     {
         const std::uint64_t x = est_.switch_round_trip() / residual;
-        if (x < params_.min_streak)
-            return params_.min_streak;
-        if (x > params_.max_streak)
-            return params_.max_streak;
+        if (x < kMinStreak)
+            return kMinStreak;
+        if (x > kMaxStreak)
+            return kMaxStreak;
         return static_cast<std::uint32_t>(x);
     }
 
-    Params params_;
     CostEstimator est_;
     std::uint32_t contended_streak_ = 0;
     std::uint32_t empty_streak_ = 0;

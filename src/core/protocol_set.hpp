@@ -387,7 +387,6 @@ class CalibratedLadderPolicy {
   public:
     struct Params {
         std::uint32_t protocols = 2;  ///< N (ladder rungs)
-        std::uint32_t ewma_shift = 2;
         /// Observations between scheduled probes (0 disables them);
         /// doubles per status-quo-confirming probe up to the cap.
         std::uint32_t probe_period = 16;
@@ -397,20 +396,24 @@ class CalibratedLadderPolicy {
         std::uint32_t probe_len = 3;
         /// Required measured advantage (percent) to adopt a probed rung.
         std::uint32_t adopt_margin_pct = 5;
-        /// Scheduled probes skip rungs whose last estimate exceeds this
-        /// multiple of the home rung's (0 disables the skip): a rung
-        /// measured badly out of contention is not worth re-measuring
-        /// on a timer — drift evidence still forces an excursion there,
-        /// which is how regime changes (which come with signals)
-        /// reopen it.
-        std::uint32_t probe_skip_factor = 2;
         /// Drift-evidence account: residual per drifting observation
         /// and the bar that triggers an excursion toward the credited
-        /// rung; each consumed account doubles its bar (capped).
+        /// rung; each consumed account doubles its bar (capped at
+        /// kDriftBackoffCap doublings).
         std::uint64_t drift_residual = 150;
         std::uint64_t drift_round_trip = 8800;
-        std::uint32_t drift_backoff_cap = 6;
     };
+
+    /// Steady-state gain 2^-shift of the per-rung cost EWMAs.
+    static constexpr std::uint32_t kEwmaShift = 2;
+    /// Scheduled probes skip rungs whose last estimate exceeds this
+    /// multiple of the home rung's: a rung measured badly out of
+    /// contention is not worth re-measuring on a timer — drift evidence
+    /// still forces an excursion there, which is how regime changes
+    /// (which come with signals) reopen it.
+    static constexpr std::uint64_t kProbeSkipFactor = 2;
+    /// Cap on the doublings of a drift account's bar.
+    static constexpr std::uint32_t kDriftBackoffCap = 6;
 
     CalibratedLadderPolicy() : CalibratedLadderPolicy(Params{}) {}
 
@@ -440,7 +443,7 @@ class CalibratedLadderPolicy {
         if (o.cycles && !std::exchange(skip_next_sample_, false)) {
             const std::uint32_t i = clamp(o.protocol);
             // First observation replaces the empty seed outright.
-            ewma_[i].observe(*o.cycles, params_.ewma_shift, o.cross);
+            ewma_[i].observe(*o.cycles, kEwmaShift, o.cross);
             age_[i] = 0;
         }
         return step(o);
@@ -458,7 +461,7 @@ class CalibratedLadderPolicy {
     {
         // Recorded for diagnostics/tests; the excursion bars are the
         // policy's switch-cost control surface.
-        switch_span_.observe(cycles, params_.ewma_shift);
+        switch_span_.observe(cycles, kEwmaShift);
     }
 
     /// Re-sizes the ladder to @p n rungs, resetting the measurement
@@ -533,7 +536,7 @@ class CalibratedLadderPolicy {
         for (std::uint32_t j = 0; j < n_; ++j) {
             if (j != i && accounts_[j] >= bar(j)) {
                 accounts_[j] = 0;
-                if (bar_shift_[j] < params_.drift_backoff_cap)
+                if (bar_shift_[j] < kDriftBackoffCap)
                     ++bar_shift_[j];
                 return start_probe(j, /*drift_triggered=*/true);
             }
@@ -607,7 +610,7 @@ class CalibratedLadderPolicy {
 
     /// Candidate with the fullest drift account, then the stalest
     /// estimate (never-measured counts as infinitely stale). Rungs
-    /// measured beyond probe_skip_factor of home are not scheduled
+    /// measured beyond kProbeSkipFactor of home are not scheduled
     /// (drift evidence can still force them); returns @p i when no
     /// candidate is worth a probe.
     std::uint32_t pick_probe_target(std::uint32_t i) const
@@ -616,11 +619,8 @@ class CalibratedLadderPolicy {
         for (std::uint32_t j = 0; j < n_; ++j) {
             if (j == i)
                 continue;
-            if (params_.probe_skip_factor != 0 && measured(j) &&
-                measured(i) &&
-                ewma_[j].value() >
-                    static_cast<std::uint64_t>(params_.probe_skip_factor) *
-                        ewma_[i].value())
+            if (measured(j) && measured(i) &&
+                ewma_[j].value() > kProbeSkipFactor * ewma_[i].value())
                 continue;
             if (best == i ||
                 (accounts_[j] != accounts_[best]

@@ -66,7 +66,7 @@
  *   - **park** is self-sealing: with no polling phase every handoff
  *     goes through a wake, so both the gap (~B always) and the W lane
  *     (queue rotation at wake cost) stop discriminating. Park tenure
- *     is therefore a bounded *lease* (Params::park_tenure): on expiry
+ *     is therefore a bounded *lease* (kParkTenure): on expiry
  *     the policy steps down to two-phase for a revalidation window,
  *     re-measures, and re-escalates only if the waits still dwarf the
  *     poll budget — the same backed-off refresh-probe discipline the
@@ -75,8 +75,8 @@
  *     by at most one expired Lpoll per wait); in a regime that
  *     quickened it is the escape hatch.
  *
- * A decision streak is the hysteresis: switch_streak consecutive
- * disagreeing verdicts for most edges, the longer leave_spin_streak
+ * A decision streak is the hysteresis: kSwitchStreak consecutive
+ * disagreeing verdicts for most edges, the longer kLeaveSpinStreak
  * for spin -> two-phase — a wrong park in a saturated regime costs ~B
  * per handoff, so leaving spin demands the most evidence. One
  * preemption-mangled handoff or one quiet release never flips the
@@ -207,68 +207,64 @@ class CalibratedWaitPolicy {
     /// releases_since_deschedule() before the first report.
     static constexpr std::uint32_t kNeverDescheduled = 0xffffffffu;
 
-    struct Params {
-        std::uint64_t hold_seed = 200;    ///< cycles; mean hold time seed
-        std::uint64_t block_seed = 1000;  ///< cycles; B seed until measured
-        std::uint32_t ewma_shift = 3;     ///< steady-state gain 2^-shift
-        /// Floor on the calibrated Lpoll (clock-read granularity).
-        std::uint64_t min_poll = 64;
-        /// Outlier clamp: a sample folds in at most clamp_factor x the
-        /// lane's current estimate (preemption-spike robustness).
-        std::uint64_t clamp_factor = 8;
-        /// Saturated-handoff test: a release-to-acquire gap of at most
-        /// hold/2 + idle_slack means some waiter was resident and
-        /// polling when the lock freed, so spinning hands off at poll
-        /// granularity. The additive term absorbs the fixed
-        /// release-to-stamp path length (a few cache ops).
-        std::uint64_t idle_slack = 32;
-        /// The gap lane clamps much harder than the generic
-        /// clamp_factor: one sample moves it by at most a factor of
-        /// idle_clamp_factor (plus 2 x idle_slack of additive headroom
-        /// so a near-zero estimate can still grow). Quantum expiries
-        /// synchronize across simulated processors, so context-switch
-        /// storms produce *consecutive* gap spikes — under the generic
-        /// 8x clamp a four-spike storm multiplies the estimate ~12x
-        /// and fakes a regime change; under 2x it takes a dozen
-        /// consecutive spikes, which *is* a regime change.
-        std::uint64_t idle_clamp_factor = 2;
-        /// Park cutoff: once measured waits reach this multiple of the
-        /// calibrated Lpoll, the two-phase polling prefix is pure
-        /// waste (it expires virtually every time) and the policy
-        /// parks immediately. 8 x Lpoll ~ 4.3 x B.
-        std::uint64_t park_wait_factor = 8;
-        /// Consecutive disagreeing decisions before the mode switches
-        /// (hysteresis against boundary flapping and one-off stalls).
-        std::uint32_t switch_streak = 3;
-        /// Leaving spin is the asymmetric risk: a wrong park in a
-        /// saturated regime costs ~B per handoff, a wrong spin in an
-        /// unsaturated one costs only the quantum tail. So the
-        /// spin -> two-phase transition demands a longer run of
-        /// agreeing verdicts than any other edge.
-        std::uint32_t leave_spin_streak = 8;
-        /// Park self-seals: with no polling phase, neither waiters nor
-        /// the holder can observe that handoffs *would* be fast again
-        /// (every gap is a wake, ~B cycles). So park tenure is leased:
-        /// after park_tenure releases the policy steps back to
-        /// two-phase for at least park_revalidate releases, whose poll
-        /// window re-exposes the gap and refreshes the W lane — the
-        /// same backed-off refresh-probe idea the protocol policies
-        /// use for dormant rungs.
-        std::uint32_t park_tenure = 64;
-        std::uint32_t park_revalidate = 16;
-        /// Polling mechanism waiters should use below the park point.
-        PollMechanism poll = PollMechanism::kSpin;
-    };
+    /// Mean hold time seed, in cycles.
+    static constexpr std::uint64_t kHoldSeed = 200;
+    /// B seed until measured, in cycles.
+    static constexpr std::uint64_t kBlockSeed = 1000;
+    /// Steady-state gain 2^-shift.
+    static constexpr std::uint32_t kEwmaShift = 3;
+    /// Floor on the calibrated Lpoll (clock-read granularity).
+    static constexpr std::uint64_t kMinPoll = 64;
+    /// Outlier clamp: a sample folds in at most kClampFactor x the
+    /// lane's current estimate (preemption-spike robustness).
+    static constexpr std::uint64_t kClampFactor = 8;
+    /// Saturated-handoff test: a release-to-acquire gap of at most
+    /// hold/2 + kIdleSlack means some waiter was resident and polling
+    /// when the lock freed, so spinning hands off at poll granularity.
+    /// The additive term absorbs the fixed release-to-stamp path
+    /// length (a few cache ops).
+    static constexpr std::uint64_t kIdleSlack = 32;
+    /// The gap lane clamps much harder than the generic kClampFactor:
+    /// one sample moves it by at most a factor of kIdleClampFactor
+    /// (plus 2 x kIdleSlack of additive headroom so a near-zero
+    /// estimate can still grow). Quantum expiries synchronize across
+    /// simulated processors, so context-switch storms produce
+    /// *consecutive* gap spikes — under the generic 8x clamp a
+    /// four-spike storm multiplies the estimate ~12x and fakes a
+    /// regime change; under 2x it takes a dozen consecutive spikes,
+    /// which *is* a regime change.
+    static constexpr std::uint64_t kIdleClampFactor = 2;
+    /// Park cutoff: once measured waits reach this multiple of the
+    /// calibrated Lpoll, the two-phase polling prefix is pure waste (it
+    /// expires virtually every time) and the policy parks immediately.
+    /// 8 x Lpoll ~ 4.3 x B.
+    static constexpr std::uint64_t kParkWaitFactor = 8;
+    /// Consecutive disagreeing decisions before the mode switches
+    /// (hysteresis against boundary flapping and one-off stalls).
+    static constexpr std::uint32_t kSwitchStreak = 3;
+    /// Leaving spin is the asymmetric risk: a wrong park in a saturated
+    /// regime costs ~B per handoff, a wrong spin in an unsaturated one
+    /// costs only the quantum tail. So the spin -> two-phase transition
+    /// demands a longer run of agreeing verdicts than any other edge.
+    static constexpr std::uint32_t kLeaveSpinStreak = 8;
+    /// Park self-seals: with no polling phase, neither waiters nor the
+    /// holder can observe that handoffs *would* be fast again (every
+    /// gap is a wake, ~B cycles). So park tenure is leased: after
+    /// kParkTenure releases the policy steps back to two-phase for at
+    /// least kParkRevalidate releases, whose poll window re-exposes the
+    /// gap and refreshes the W lane — the same backed-off refresh-probe
+    /// idea the protocol policies use for dormant rungs.
+    static constexpr std::uint32_t kParkTenure = 64;
+    static constexpr std::uint32_t kParkRevalidate = 16;
+    /// Polling mechanism waiters should use below the park point.
+    static constexpr PollMechanism kPoll = PollMechanism::kSpin;
 
-    CalibratedWaitPolicy() : CalibratedWaitPolicy(Params{}) {}
-
-    explicit CalibratedWaitPolicy(Params p)
-        : params_(p),
-          hold_(p.hold_seed),
+    CalibratedWaitPolicy()
+        : hold_(kHoldSeed),
           depth_x16_(0),
-          block_(p.block_seed),
+          block_(kBlockSeed),
           wait_(0),
-          idle_(2 * p.idle_slack)
+          idle_(2 * kIdleSlack)
     {
         // The gap lane opts out of EwmaStat's fast start (gain 1/2 for
         // the first samples): start-of-run gaps are spawn-paced noise,
@@ -286,9 +282,9 @@ class CalibratedWaitPolicy {
     {
         if (since_deschedule_ != kNeverDescheduled)
             ++since_deschedule_;
-        hold_.update(clamped(s.hold_cycles, hold_), params_.ewma_shift);
+        hold_.update(clamped(s.hold_cycles, hold_), kEwmaShift);
         depth_x16_.update(static_cast<std::uint64_t>(s.queue_depth) * 16,
-                          params_.ewma_shift);
+                          kEwmaShift);
         if (s.now_cycles != 0) {
             // The gap this holder closed: the previous release's stamp
             // to this hold's start (now - hold span). Derived here so
@@ -300,9 +296,8 @@ class CalibratedWaitPolicy {
             if (last_release_ != 0 && acquired > last_release_) {
                 std::uint64_t gap = acquired - last_release_;
                 const std::uint64_t cap =
-                    idle_.value * params_.idle_clamp_factor +
-                    2 * params_.idle_slack;
-                idle_.update(gap > cap ? cap : gap, params_.ewma_shift);
+                    idle_.value * kIdleClampFactor + 2 * kIdleSlack;
+                idle_.update(gap > cap ? cap : gap, kEwmaShift);
                 idle_seen_ = true;
             }
             last_release_ = s.now_cycles;
@@ -332,21 +327,20 @@ class CalibratedWaitPolicy {
             return;
         }
         const std::uint64_t ceil_ = block_.value + block_.value / 8;
-        block_.update(cycles > ceil_ ? ceil_ : cycles,
-                      params_.ewma_shift);
+        block_.update(cycles > ceil_ ? ceil_ : cycles, kEwmaShift);
     }
 
     /// Slow-path winner, now holder: its own measured wait span (the W
     /// lane). Samples saturate at twice the park cutoff — the lane's
-    /// only consumer is the `W >= park_wait_factor x Lpoll` comparison,
+    /// only consumer is the `W >= kParkWaitFactor x Lpoll` comparison,
     /// and an uncapped pathological span (a waiter stranded across a
     /// transient mode excursion can report millions of cycles) would
     /// otherwise pin the verdict at "park" for the dozens of samples
     /// an EWMA needs to flush it.
     void note_wait(std::uint64_t cycles)
     {
-        const std::uint64_t cap = 2 * params_.park_wait_factor * lpoll();
-        wait_.observe(cycles > cap ? cap : cycles, params_.ewma_shift);
+        const std::uint64_t cap = 2 * kParkWaitFactor * lpoll();
+        wait_.observe(cycles > cap ? cap : cycles, kEwmaShift);
     }
 
     /// Slow-path winner, now holder: it lost its processor to another
@@ -378,7 +372,7 @@ class CalibratedWaitPolicy {
     std::uint64_t lpoll() const
     {
         const std::uint64_t l = block_.value * kWaitAlphaPermille / 1000;
-        return l < params_.min_poll ? params_.min_poll : l;
+        return l < kMinPoll ? kMinPoll : l;
     }
 
     /// Expected wait of the next waiter: the measured W lane (falls
@@ -392,13 +386,13 @@ class CalibratedWaitPolicy {
     }
 
   private:
-    /// Outlier clamp (see Params::clamp_factor); the first sample of a
+    /// Outlier clamp (see kClampFactor); the first sample of a
     /// lane passes through untouched.
     std::uint64_t clamped(std::uint64_t sample, const EwmaStat& lane) const
     {
         if (lane.count == 0)
             return sample;
-        const std::uint64_t cap = lane.value * params_.clamp_factor;
+        const std::uint64_t cap = lane.value * kClampFactor;
         return sample > cap ? cap : sample;
     }
 
@@ -408,7 +402,7 @@ class CalibratedWaitPolicy {
     bool saturated() const
     {
         return !idle_seen_ ||
-               idle_.value <= hold_.value / 2 + params_.idle_slack;
+               idle_.value <= hold_.value / 2 + kIdleSlack;
     }
 
     /// Parking frees a processor only if another thread wants it: some
@@ -424,7 +418,7 @@ class CalibratedWaitPolicy {
     bool waits_dwarf_poll() const
     {
         return wait_.count > 0 &&
-               wait_.value >= params_.park_wait_factor * lpoll();
+               wait_.value >= kParkWaitFactor * lpoll();
     }
 
     /// The adjacent rung the lanes currently argue for. Modes form a
@@ -455,20 +449,20 @@ class CalibratedWaitPolicy {
 
     /// Streak hysteresis plus the park lease. A transition lands only
     /// after enough consecutive releases agreed on the same
-    /// non-incumbent rung — leave_spin_streak for the risky
-    /// spin -> two-phase edge, switch_streak elsewhere. Park tenure is
-    /// bounded (Params::park_tenure): on expiry the policy steps back
-    /// to two-phase and refuses to re-escalate for park_revalidate
+    /// non-incumbent rung — kLeaveSpinStreak for the risky
+    /// spin -> two-phase edge, kSwitchStreak elsewhere. Park tenure is
+    /// bounded (kParkTenure): on expiry the policy steps back to
+    /// two-phase and refuses to re-escalate for kParkRevalidate
     /// releases, so the W lane is refreshed by measurements the park
     /// mode itself could never produce.
     void decide()
     {
-        if (mode_ == WaitMode::kPark && ++park_age_ >= params_.park_tenure) {
+        if (mode_ == WaitMode::kPark && ++park_age_ >= kParkTenure) {
             mode_ = WaitMode::kTwoPhase;
             pending_ = WaitMode::kTwoPhase;
             streak_ = 0;
             park_age_ = 0;
-            revalidate_left_ = params_.park_revalidate;
+            revalidate_left_ = kParkRevalidate;
             return;
         }
         if (revalidate_left_ > 0)
@@ -485,9 +479,8 @@ class CalibratedWaitPolicy {
             streak_ = 1;
             return;
         }
-        const std::uint32_t need = mode_ == WaitMode::kSpin
-                                       ? params_.leave_spin_streak
-                                       : params_.switch_streak;
+        const std::uint32_t need =
+            mode_ == WaitMode::kSpin ? kLeaveSpinStreak : kSwitchStreak;
         if (++streak_ >= need) {
             mode_ = d;
             streak_ = 0;
@@ -498,14 +491,13 @@ class CalibratedWaitPolicy {
     std::uint32_t compute() const
     {
         WaitHint h;
-        h.poll = params_.poll;
+        h.poll = kPoll;
         h.mode = mode_;
         if (h.mode == WaitMode::kTwoPhase)
             h.poll_limit = lpoll();
         return pack_wait_hint(h);
     }
 
-    Params params_;
     EwmaStat hold_;      ///< holder's critical-section span
     EwmaStat depth_x16_; ///< parked/queued waiters at release, x16
     EwmaStat block_;     ///< B: measured wake latency class

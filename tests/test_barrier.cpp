@@ -442,6 +442,53 @@ TEST(ReactiveBarrierSwitchTest, FixedStragglerNeverLeavesCentral)
     EXPECT_EQ(bar->protocol_changes(), 0u);
 }
 
+/// Barrier kernel on a machine whose cache-line transfer costs 400
+/// cycles (the apps:: kernels fix the Alewife model): every processor
+/// computes U[0, compute) per episode, processor 0 @p straggle more.
+template <typename B>
+void run_barrier_slow_lines(B& bar, std::uint32_t procs,
+                            std::uint32_t episodes, std::uint32_t compute,
+                            std::uint32_t straggle)
+{
+    sim::CostModel costs = sim::CostModel::alewife();
+    costs.remote_miss = 400;
+    sim::Machine m(procs, costs, /*seed=*/1);
+    std::vector<typename B::Node> nodes(procs);
+    for (std::uint32_t p = 0; p < procs; ++p) {
+        m.spawn(p, [&, p] {
+            for (std::uint32_t e = 0; e < episodes; ++e) {
+                sim::delay(sim::random_below(compute));
+                if (p == 0)
+                    sim::delay(straggle);
+                bar.arrive(nodes[p]);
+            }
+        });
+    }
+    m.run();
+}
+
+TEST(ReactiveBarrierSwitchTest, SlowTransfersAloneNeverLeaveCentral)
+{
+    // Slow cache-line transfers make every counter RMW slow, queued or
+    // not; they say nothing about who arrives when. Under a fixed
+    // straggler the completer never rotates, so the default barrier
+    // must stay in central however slow the lines are.
+    using B = ReactiveBarrier<SimPlatform>;
+    B straggled(8);
+    run_barrier_slow_lines(straggled, 8, 200, /*compute=*/201,
+                           /*straggle=*/30000);
+    EXPECT_EQ(straggled.mode(), B::Mode::kCentral);
+    EXPECT_EQ(straggled.protocol_changes(), 0u);
+
+    // The same slow machine with bunched arrivals: the completer
+    // rotates, and the barrier still reaches the tree.
+    B bunched(8);
+    run_barrier_slow_lines(bunched, 8, 200, /*compute=*/400,
+                           /*straggle=*/0);
+    EXPECT_EQ(bunched.mode(), B::Mode::kTree);
+    EXPECT_GE(bunched.protocol_changes(), 1u);
+}
+
 TEST(ReactiveBarrierSwitchTest, TracksBestStaticUnderUniformArrivals)
 {
     // Uniformly random arrivals with no fixed straggler: the completer

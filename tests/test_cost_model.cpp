@@ -211,7 +211,7 @@ TEST(CalibratedHysteresisTest, ThresholdsDerivedFromEstimator)
     EXPECT_EQ(h.to_tts_streak(), 8800u / 15u);
 
     // Measured switch cost collapses: round trip 2*44*1 = 88, so the
-    // TTS->queue threshold (88/150 = 0) clamps at min_streak and the
+    // TTS->queue threshold (88/150 = 0) clamps at kMinStreak and the
     // queue->TTS threshold derives as 88/15 = 5.
     h.on_switch_cycles(1);
     EXPECT_EQ(h.estimator().switch_one_way(), 1u);
@@ -452,38 +452,15 @@ TEST(CalibrationEnvelopeTest, WrongSeedsWithinTenPercentOfBestStatic)
 
 // ---- barrier calibration ----------------------------------------------
 
-TEST(BarrierCalibrationTest, RmwFloorHealsFromWrongSeedBothDirections)
-{
-    using Bar = ReactiveBarrier<SimPlatform, AlwaysSwitchPolicy>;
-
-    // Seeded 10x high: the first measured central RMW drops it.
-    ReactiveBarrierParams high;
-    high.calibrate = true;
-    high.bunched_cycles_per_arrival = 1500;  // floor seed 500
-    auto bar_high = std::make_shared<Bar>(8, high);
-    apps::run_barrier_uniform<Bar>(8, 120, /*compute=*/200, 1, bar_high);
-    EXPECT_LT(bar_high->rmw_floor(), 500u);
-
-    // Seeded 10x low: the decaying min grows toward the measured cost.
-    ReactiveBarrierParams low;
-    low.calibrate = true;
-    low.bunched_cycles_per_arrival = 15;  // floor seed 5
-    auto bar_low = std::make_shared<Bar>(8, low);
-    apps::run_barrier_uniform<Bar>(8, 120, /*compute=*/200, 1, bar_low);
-    EXPECT_GT(bar_low->rmw_floor(), 5u);
-}
-
 TEST(BarrierCalibrationTest, CalibratingPolicyReachesTreeUnderBunchedLoad)
 {
     using Bar = ReactiveBarrier<SimPlatform, CalibratedCompetitive3Policy>;
-    ReactiveBarrierParams bp;
-    bp.calibrate = true;
     CalibratedCompetitive3Policy::Params pp;
     pp.costs = reluctant_seeds();
     pp.probe_period = 32;
     pp.probe_len = 2;  // first dormant episode is the discarded cold one
     auto bar = std::make_shared<Bar>(
-        16, bp, CalibratedCompetitive3Policy(pp));
+        16, ReactiveBarrierParams{}, CalibratedCompetitive3Policy(pp));
     apps::run_barrier_uniform<Bar>(16, 240, /*compute=*/200, 1, bar);
     EXPECT_EQ(bar->mode(), Bar::Mode::kTree)
         << "bunched arrivals at P=16 clearly favour the tree";
@@ -558,12 +535,10 @@ TEST(NativeCalibrationTest, BarrierStormWithCalibration)
     using Bar = ReactiveBarrier<NativePlatform, CalibratedCompetitive3Policy>;
     const std::uint32_t threads =
         std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
-    ReactiveBarrierParams bp;
-    bp.calibrate = true;
     CalibratedCompetitive3Policy::Params pp;
     pp.probe_period = 8;  // switch protocols constantly
     pp.probe_len = 1;
-    Bar bar(threads, bp, CalibratedCompetitive3Policy(pp));
+    Bar bar(threads, ReactiveBarrierParams{}, CalibratedCompetitive3Policy(pp));
     std::vector<long> counts(threads, 0);
     std::vector<std::thread> pool;
     for (std::uint32_t t = 0; t < threads; ++t) {

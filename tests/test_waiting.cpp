@@ -831,7 +831,7 @@ TEST(DescheduleGateTest, PolicyLeavesSpinOnlyOnRecentEvidence)
     EXPECT_GT(pol.idle_estimate(), pol.hold_estimate());
     EXPECT_EQ(pol.mode(), WaitMode::kSpin);  // nobody wants the processor
 
-    // One report opens the step; leave_spin_streak (8) agreeing
+    // One report opens the step; kLeaveSpinStreak (8) agreeing
     // releases take it.
     pol.note_descheduled();
     int steps = 0;
